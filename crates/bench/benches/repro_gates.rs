@@ -2,12 +2,12 @@
 //! `paba-repro` as a bench target: run every experiment at the
 //! environment-selected scale, print the gate table, and write
 //! `BENCH_repro.json` at the workspace root (the golden-regeneration
-//! path; CI's `repro-smoke` job diffs fresh runs against the committed
+//! path; CI's `suite-smoke` job diffs fresh runs against the committed
 //! copy via `paba repro --quick --check`).
 //!
 //! Knobs: `PABA_SCALE=quick|default|full`, `PABA_SEED`, `PABA_RUNS`.
 
-use paba_repro::{gates_table, run_suite, ReproConfig};
+use paba_repro::{gates_table, ReproConfig, Suite};
 use paba_util::envcfg::EnvCfg;
 use std::path::PathBuf;
 
@@ -23,7 +23,7 @@ fn main() {
     cfg.seed = env.seed;
     cfg.runs_override = env.runs_override;
     cfg.verbose = true;
-    let artifact = run_suite(&cfg);
+    let artifact = Suite::Repro.run(&cfg, None);
     paba_bench::emit("repro_gates", &gates_table(&artifact));
     let out = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -71,12 +71,17 @@ impl Args {
 
     /// Typed option with a default; errors name the flag.
     pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse::<T>()
-                .map_err(|_| format!("--{key}: cannot parse '{v}'")),
-        }
+        Ok(self.parse_opt(key)?.unwrap_or(default))
+    }
+
+    /// Typed option, `None` when absent; errors name the flag.
+    pub fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|v| {
+                v.parse::<T>()
+                    .map_err(|_| format!("--{key}: cannot parse '{v}'"))
+            })
+            .transpose()
     }
 
     /// Boolean flag (present without value, or an explicit true/false).
@@ -92,6 +97,16 @@ impl Args {
                 .parse::<u32>()
                 .map(Some)
                 .map_err(|_| format!("--{key}: expected an integer or 'inf', got '{v}'")),
+        }
+    }
+
+    /// Error naming every option outside `known`.
+    pub fn check_keys(&self, known: &[&str]) -> Result<(), String> {
+        let unknown = self.unknown_keys(known);
+        if unknown.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("unknown option(s): {unknown:?} (see 'paba help')"))
         }
     }
 
@@ -142,6 +157,14 @@ mod tests {
         assert_eq!(a.parse_or("m", 1u32).unwrap(), 7);
         assert_eq!(a.parse_or("k", 100u32).unwrap(), 100);
         assert!(a.parse_or("m", 0.0f64).is_ok());
+    }
+
+    #[test]
+    fn optional_typed_access() {
+        let a = parse("x --m 7");
+        assert_eq!(a.parse_opt::<u32>("m").unwrap(), Some(7));
+        assert_eq!(a.parse_opt::<u32>("k").unwrap(), None);
+        assert!(parse("x --m seven").parse_opt::<u32>("m").is_err());
     }
 
     #[test]

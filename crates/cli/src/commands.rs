@@ -7,10 +7,14 @@ use paba_core::{
 };
 use paba_mcrunner::{run_parallel_live, LiveRun};
 use paba_popularity::Popularity;
+use paba_repro::churn_experiments::ChurnParams;
+use paba_repro::queueing_experiments::QueueingParams;
+use paba_repro::{NetworkParams, Suite};
 use paba_telemetry::{
     AtomicRecorder, MetricsServer, NullRecorder, Recorder, Tee, TelemetrySnapshot, TraceReport,
 };
 use paba_topology::Torus;
+use paba_util::envcfg::Scale;
 use paba_util::{schema, Provenance, Summary, Table};
 use paba_workload::{TraceWriter, WorkloadSpec};
 use rand::rngs::SmallRng;
@@ -142,38 +146,31 @@ TRACE OPTIONS (plus the simulate/workload options above):
   --series-out PATH paba-trace-series/1 JSON ('-' = stdout; none)
   --chrome-out PATH Chrome Trace Format spans for Perfetto ('-'; none)
 
-REPRO OPTIONS:
+GATED SUITE OPTIONS (paba repro | churn | queueing):
   --scale S         quick | default | full experiment grids (PABA_SCALE or default)
   --quick           shorthand for --scale quick
   --seed S          master seed (20170529)
   --runs R          override every experiment's Monte-Carlo run count
-  --out PATH        artifact path (BENCH_repro.json; BENCH_repro_fresh.json
+  --out PATH        artifact path (BENCH_<suite>.json; BENCH_<suite>_fresh.json
                     under --check; 'none' skips writing)
   --check           statistically diff the fresh run against --golden and
                     fail on regression or gate failure
-  --golden PATH     committed golden artifact to diff against (BENCH_repro.json)
+  --golden PATH     committed golden artifact to diff against (BENCH_<suite>.json)
   --csv             emit CSV instead of tables
-
-CHURN OPTIONS:
-  --scale/--quick/--seed/--runs/--out/--check/--golden/--csv  as for repro
-                    (artifact BENCH_churn.json; fresh BENCH_churn_fresh.json)
+ churn and queueing add:
   --threads T       worker threads (0 = available parallelism)
-  --serve-metrics ADDR  expose live counters (churn events, retries, failed
-                    requests, repair migrations) at http://ADDR/metrics
+  --serve-metrics ADDR  expose live progress at http://ADDR/metrics (churn
+                    also exposes churn events, retries, failed requests,
+                    and repair migrations)
   --side/--files/--cache/--gamma/--radius  override the network regime
+ churn adds:
   --cycle-fraction F    fraction of nodes crashed/left then rejoined (0.2)
   --graceful-fraction F leave (with handoff) vs crash split (0.5)
   --inserts I       mid-run catalogue inserts (scale default)
   --repair P        none | random | two-choices (two-choices)
   --retry-budget B  dead-replica failover retries per request (8)
   --replication R   DHT successor replicas per file (3)
-
-QUEUEING OPTIONS:
-  --scale/--quick/--seed/--runs/--out/--check/--golden/--csv  as for repro
-                    (artifact BENCH_queueing.json; fresh BENCH_queueing_fresh.json)
-  --threads T       worker threads (0 = available parallelism)
-  --serve-metrics ADDR  expose run progress at http://ADDR/metrics
-  --side/--files/--cache/--gamma/--radius  override the network regime
+ queueing adds:
   --lambda L        per-server arrival rate of the paired arms (0.9)
   --horizon T       simulated time per run (scale default)
   --warmup T        measurement-window start (scale default)
@@ -316,6 +313,76 @@ fn reject_action(a: &Args) -> Result<(), String> {
     }
 }
 
+/// Print `t` as CSV under `--csv`, else as Markdown.
+fn print_table(a: &Args, t: &Table) {
+    if a.flag("csv") {
+        print!("{}", t.to_csv());
+    } else {
+        print!("{}", t.to_markdown());
+    }
+}
+
+/// `--scale` (or the `--quick` shorthand), defaulting to `PABA_SCALE`.
+fn scale(a: &Args) -> Result<Scale, String> {
+    if a.flag("quick") {
+        return Ok(Scale::Quick);
+    }
+    match a.get("scale") {
+        None => Ok(paba_util::envcfg::EnvCfg::from_env().scale),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'")),
+    }
+}
+
+/// `--side/--files/--cache/--gamma`, validated so a bad network shape is
+/// an error instead of a panic inside the network builder. Absent keys
+/// stay `None` for the caller's defaults; `radius` is left unset, since
+/// `simulate` and `queue` accept `inf` where the gated suites take an
+/// integer.
+fn network_shape(a: &Args) -> Result<NetworkParams, String> {
+    let side: Option<u32> = a.parse_opt("side")?;
+    if let Some(s) = side.filter(|s| !(1..=Torus::MAX_SIDE).contains(s)) {
+        return Err(format!(
+            "--side must be in 1..={}, got {s}",
+            Torus::MAX_SIDE
+        ));
+    }
+    let files = a.parse_opt("files")?;
+    if files == Some(0) {
+        return Err("--files must be a positive library size".into());
+    }
+    let cache = a.parse_opt("cache")?;
+    if cache == Some(0) {
+        return Err("--cache must be a positive number of slots".into());
+    }
+    let gamma: Option<f64> = a.parse_opt("gamma")?;
+    if let Some(g) = gamma.filter(|g| !(g.is_finite() && *g >= 0.0)) {
+        return Err(format!(
+            "--gamma must be a finite, non-negative Zipf exponent, got {g}"
+        ));
+    }
+    Ok(NetworkParams {
+        side,
+        files,
+        cache,
+        gamma,
+        radius: None,
+    })
+}
+
+/// [`network_shape`] with defaults for absent keys: `(side, K, M, gamma)`,
+/// gamma defaulting to uniform popularity.
+fn shape_or(a: &Args, side: u32, k: u32, m: u32) -> Result<(u32, u32, u32, f64), String> {
+    let s = network_shape(a)?;
+    Ok((
+        s.side.unwrap_or(side),
+        s.files.unwrap_or(k),
+        s.cache.unwrap_or(m),
+        s.gamma.unwrap_or(0.0),
+    ))
+}
+
 /// Everything one Monte-Carlo run of `paba simulate` needs. Shared by the
 /// recorded (`--telemetry`) and unrecorded paths so both run byte-identical
 /// simulations — recording never touches the RNG stream.
@@ -444,14 +511,8 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
     let mut known = SIM_KEYS.to_vec();
     known.extend_from_slice(WORKLOAD_KEYS);
     known.extend_from_slice(extra_keys);
-    let unknown = a.unknown_keys(&known);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let side: u32 = a.parse_or("side", 45)?;
-    let k: u32 = a.parse_or("files", 500)?;
-    let m: u32 = a.parse_or("cache", 10)?;
-    let gamma: f64 = a.parse_or("gamma", 0.0)?;
+    a.check_keys(&known)?;
+    let (side, k, m, gamma) = shape_or(a, 45, 500, 10)?;
     let radius = a.radius("radius")?;
     let choices: u32 = a.parse_or("choices", 2)?;
     let stale: u64 = a.parse_or("stale", 1)?;
@@ -481,6 +542,11 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
         "dht" => PlacementPolicy::ProportionalWithReplacement, // replaced below
         other => return Err(format!("--placement: unknown policy '{other}'")),
     };
+    if policy == PlacementPolicy::ProportionalDistinct && m > k {
+        return Err(format!(
+            "--placement distinct needs --cache ≤ --files (got {m} > {k})"
+        ));
+    }
 
     // Workload selection: parsed and validated once (traces load here),
     // then instantiated fresh for every Monte-Carlo run.
@@ -835,14 +901,8 @@ pub fn queue(a: &Args) -> Result<(), String> {
         "lambda", "horizon", "warmup", "seed", "csv",
     ];
     known.extend_from_slice(WORKLOAD_KEYS);
-    let unknown = a.unknown_keys(&known);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let side: u32 = a.parse_or("side", 24)?;
-    let k: u32 = a.parse_or("files", 32)?;
-    let m: u32 = a.parse_or("cache", 8)?;
-    let gamma: f64 = a.parse_or("gamma", 0.0)?;
+    a.check_keys(&known)?;
+    let (side, k, m, gamma) = shape_or(a, 24, 32, 8)?;
     let radius = a.radius("radius")?;
     let choices: u32 = a.parse_or("choices", 2)?;
     let stale: u64 = a.parse_or("stale", 1)?;
@@ -852,14 +912,14 @@ pub fn queue(a: &Args) -> Result<(), String> {
     let warmup: f64 = a.parse_or("warmup", 500.0)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let strategy = a.str_or("strategy", "two-choice");
-    if !(0.0..1.0).contains(&lambda) || lambda == 0.0 {
-        return Err(format!("--lambda must be in (0,1), got {lambda}"));
-    }
-    if warmup >= horizon {
-        return Err(format!(
-            "--warmup must precede --horizon ({warmup} >= {horizon})"
-        ));
-    }
+    let cfg = paba_supermarket::QueueSimConfig {
+        lambda,
+        horizon,
+        warmup,
+        tail_cap: 24,
+        stride,
+    };
+    cfg.validate()?;
     if stale == 0 {
         return Err("--stale must be a positive refresh period".into());
     }
@@ -873,13 +933,6 @@ pub fn queue(a: &Args) -> Result<(), String> {
         .cache_size(m)
         .build(&mut rng);
     let mut source = spec.build(&net, UncachedPolicy::ResampleFile)?;
-    let cfg = paba_supermarket::QueueSimConfig {
-        lambda,
-        horizon,
-        warmup,
-        tail_cap: 24,
-        stride,
-    };
     let rep = match strategy.as_str() {
         "nearest" => {
             let mut s = NearestReplica::new();
@@ -952,11 +1005,7 @@ pub fn queue(a: &Args) -> Result<(), String> {
             format!("{}", rep.series.points.len()),
         ]);
     }
-    if a.flag("csv") {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.to_markdown());
-    }
+    print_table(a, &t);
     Ok(())
 }
 
@@ -966,10 +1015,7 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
     let known = [
         "process", "bins", "balls", "d", "beta", "batch", "runs", "seed", "csv",
     ];
-    let unknown = a.unknown_keys(&known);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
+    a.check_keys(&known)?;
     let process = a.str_or("process", "two");
     let n: u32 = a.parse_or("bins", 4096)?;
     let m: u64 = a.parse_or("balls", n as u64)?;
@@ -1012,11 +1058,7 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
         format!("{}", s.min),
         format!("{}", s.max),
     ]);
-    if a.flag("csv") {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.to_markdown());
-    }
+    print_table(a, &t);
     Ok(())
 }
 
@@ -1024,17 +1066,8 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
 /// on the CLI so perf runs don't require a bench target invocation.
 pub fn throughput(a: &Args) -> Result<(), String> {
     reject_action(a)?;
-    let unknown = a.unknown_keys(&["scale", "seed", "requests", "out", "csv", "serve-metrics"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = match a.get("scale") {
-        None => env_cfg.scale,
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-    };
+    a.check_keys(&["scale", "seed", "requests", "out", "csv", "serve-metrics"])?;
+    let scale = scale(a)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests: u64 = a.parse_or("requests", 0)?;
     let out = a.str_or("out", "BENCH_throughput.json");
@@ -1058,11 +1091,7 @@ pub fn throughput(a: &Args) -> Result<(), String> {
         live.as_ref().map(|l| l.progress.as_ref()),
     );
     let table = paba_bench::throughput::to_table(&measurements);
-    if a.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_markdown());
-    }
+    print_table(a, &table);
     if out != "none" {
         let path = std::path::PathBuf::from(&out);
         paba_bench::throughput::write_json(&path, &measurements, seed, scale)?;
@@ -1085,17 +1114,14 @@ pub fn profile(a: &Args) -> Result<(), String> {
             .action
             .as_deref()
             .ok_or("--diff needs two artifacts: paba profile --diff OLD.json NEW.json")?;
-        let unknown = a.unknown_keys(&[
+        a.check_keys(&[
             "diff",
             "diff-z",
             "share-floor",
             "span-ratio",
             "speedup-ratio",
             "csv",
-        ]);
-        if !unknown.is_empty() {
-            return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-        }
+        ])?;
         let defaults = paba_bench::diff::DiffGates::default();
         let gates = paba_bench::diff::DiffGates {
             z: a.parse_or("diff-z", defaults.z)?,
@@ -1109,11 +1135,7 @@ pub fn profile(a: &Args) -> Result<(), String> {
             gates,
         )?;
         let t = paba_bench::diff::diff_table(&diff);
-        if a.flag("csv") {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{}", t.to_markdown());
-        }
+        print_table(a, &t);
         let regressions = diff.regressions();
         eprintln!(
             "compared {} shared regime label(s): {} regression(s)",
@@ -1129,7 +1151,7 @@ pub fn profile(a: &Args) -> Result<(), String> {
         return Ok(());
     }
     reject_action(a)?;
-    let unknown = a.unknown_keys(&[
+    a.check_keys(&[
         "scale",
         "seed",
         "runs",
@@ -1139,17 +1161,8 @@ pub fn profile(a: &Args) -> Result<(), String> {
         "tolerance",
         "check",
         "csv",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = match a.get("scale") {
-        None => env_cfg.scale,
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-    };
+    ])?;
+    let scale = scale(a)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let runs: usize = a.parse_or("runs", 4)?;
     if runs == 0 {
@@ -1249,47 +1262,120 @@ fn same_file(a: &str, b: &str) -> bool {
     }
 }
 
-/// `paba repro` — the theorem-gated paper-reproduction suite of
-/// `paba-repro`: run the experiments, print the gates, write the
-/// versioned artifact, and (with `--check`) statistically diff against
-/// the committed golden.
-pub fn repro(a: &Args) -> Result<(), String> {
-    reject_action(a)?;
-    let unknown = a.unknown_keys(&[
-        "scale", "quick", "seed", "runs", "out", "check", "golden", "csv",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = if a.flag("quick") {
-        paba_util::envcfg::Scale::Quick
-    } else {
-        match a.get("scale") {
-            None => env_cfg.scale,
-            Some(s) => s
-                .parse()
-                .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
+/// Options every gated suite (`paba repro|churn|queueing`) accepts.
+const SUITE_KEYS: &[&str] = &[
+    "scale", "quick", "seed", "runs", "out", "check", "golden", "csv",
+];
+
+/// Options the churn and queueing suites add to [`SUITE_KEYS`]: worker
+/// threads, the live endpoint, and the network-regime overrides.
+const REGIME_KEYS: &[&str] = &[
+    "threads",
+    "serve-metrics",
+    "side",
+    "files",
+    "cache",
+    "gamma",
+    "radius",
+];
+
+/// Churn-schedule and repair options of `paba churn`.
+const CHURN_KEYS: &[&str] = &[
+    "cycle-fraction",
+    "graceful-fraction",
+    "inserts",
+    "repair",
+    "retry-budget",
+    "replication",
+];
+
+/// Engine options of `paba queueing`.
+const QUEUEING_KEYS: &[&str] = &["lambda", "horizon", "warmup", "stale-period"];
+
+/// The regime overrides the churn and queueing suites share.
+fn network_params(a: &Args) -> Result<NetworkParams, String> {
+    Ok(NetworkParams {
+        radius: a.parse_opt("radius")?,
+        ..network_shape(a)?
+    })
+}
+
+/// A `[0, 1]` fraction option, `None` when absent.
+fn fraction(a: &Args, key: &str) -> Result<Option<f64>, String> {
+    match a.parse_opt::<f64>(key)? {
+        Some(v) if !(0.0..=1.0).contains(&v) => {
+            Err(format!("--{key}: expected a fraction in [0, 1], got {v}"))
         }
+        v => Ok(v),
+    }
+}
+
+fn churn_suite(a: &Args) -> Result<Suite, String> {
+    Ok(Suite::Churn(ChurnParams {
+        net: network_params(a)?,
+        cycle_fraction: fraction(a, "cycle-fraction")?,
+        graceful_fraction: fraction(a, "graceful-fraction")?,
+        inserts: a.parse_opt("inserts")?,
+        repair: a
+            .get("repair")
+            .map(|s| paba_churn::RepairPolicy::parse(s).map_err(|e| format!("--repair: {e}")))
+            .transpose()?,
+        retry_budget: a.parse_opt("retry-budget")?,
+        replication: a.parse_opt("replication")?,
+    }))
+}
+
+fn queueing_suite(a: &Args) -> Result<Suite, String> {
+    let stale_period = a.parse_opt("stale-period")?;
+    if stale_period == Some(0) {
+        return Err("--stale-period must be a positive dispatch count".into());
+    }
+    Ok(Suite::Queueing(QueueingParams {
+        net: network_params(a)?,
+        lambda: a.parse_opt("lambda")?,
+        horizon: a.parse_opt("horizon")?,
+        warmup: a.parse_opt("warmup")?,
+        stale_period,
+    }))
+}
+
+/// `paba repro|churn|queueing` — one driver for the gated suites of
+/// `paba-repro`: run the suite, print its gates, write the versioned
+/// `BENCH_<suite>.json` artifact, and (with `--check`) statistically diff
+/// against the committed golden.
+pub fn gated_suite(a: &Args, name: &str) -> Result<(), String> {
+    reject_action(a)?;
+    type Parse = fn(&Args) -> Result<Suite, String>;
+    let (keys, parse): (&[&[&str]], Parse) = match name {
+        "repro" => (&[SUITE_KEYS], |_| Ok(Suite::Repro)),
+        "churn" => (&[SUITE_KEYS, REGIME_KEYS, CHURN_KEYS], churn_suite),
+        "queueing" => (&[SUITE_KEYS, REGIME_KEYS, QUEUEING_KEYS], queueing_suite),
+        other => return Err(format!("unknown gated suite '{other}'")),
     };
-    let check = a.flag("check");
+    a.check_keys(&keys.concat())?;
+    let scale = scale(a)?;
     let mut cfg = paba_repro::ReproConfig::new(scale);
     cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    cfg.runs_override = match a.get("runs") {
-        None => None,
-        Some(_) => match a.parse_or("runs", 0usize)? {
-            0 => return Err("--runs must be a positive run count".into()),
-            r => Some(r),
+    cfg.runs_override = a.parse_opt("runs")?;
+    if cfg.runs_override == Some(0) {
+        return Err("--runs must be a positive run count".into());
+    }
+    cfg.threads = a.parse_opt("threads")?.filter(|&t| t != 0);
+    let suite = parse(a)?;
+    suite.validate(scale)?;
+    let name = suite.name();
+
+    let check = a.flag("check");
+    let golden_path = a.str_or("golden", &format!("BENCH_{name}.json"));
+    // Never clobber the golden we are about to diff against.
+    let out = a.str_or(
+        "out",
+        &if check {
+            format!("BENCH_{name}_fresh.json")
+        } else {
+            format!("BENCH_{name}.json")
         },
-    };
-    let default_out = if check {
-        // Never clobber the golden we are about to diff against.
-        "BENCH_repro_fresh.json"
-    } else {
-        "BENCH_repro.json"
-    };
-    let out = a.str_or("out", default_out);
-    let golden_path = a.str_or("golden", "BENCH_repro.json");
+    );
     if a.get("golden").is_some() && !check {
         return Err(
             "--golden only makes sense with --check (a plain run would ignore it \
@@ -1307,205 +1393,30 @@ pub fn repro(a: &Args) -> Result<(), String> {
                  ('{golden_path}'); pass a different --out (or 'none')"
             ));
         }
-        Some(paba_repro::Artifact::load(std::path::Path::new(
-            &golden_path,
-        ))?)
-    } else {
-        None
-    };
-
-    let artifact = paba_repro::run_suite(&cfg);
-    let gates = paba_repro::gates_table(&artifact);
-    if a.flag("csv") {
-        print!("{}", gates.to_csv());
-    } else {
-        print!("{}", gates.to_markdown());
-    }
-    if out != "none" {
-        artifact.write(std::path::Path::new(&out))?;
-        eprintln!(
-            "wrote {} gates / {} metrics to {out}",
-            artifact.gates.len(),
-            artifact.metrics.len()
-        );
-    }
-    if !artifact.all_gates_passed() {
-        return Err("reproduction gates failed (see table above)".into());
-    }
-    if let Some(golden) = golden {
-        let rep = paba_repro::check(&artifact, &golden, paba_repro::DEFAULT_CHECK_Z)?;
-        let t = paba_repro::check_table(&rep);
-        if a.flag("csv") {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{}", t.to_markdown());
-        }
-        if !rep.ok() {
-            return Err(format!(
-                "golden check failed: {} regression(s) vs {golden_path}",
-                rep.regressions.len()
-            ));
-        }
-        eprintln!("golden check passed against {golden_path}");
-    }
-    Ok(())
-}
-
-/// `paba churn` — the churn-robustness suite of `paba-repro`: seeded
-/// fault-injection schedules (crash / leave / join / insert) over the
-/// dynamic placement engine, with graceful-degradation and repair gates.
-/// Writes the versioned `paba-churn/1` artifact and (with `--check`)
-/// statistically diffs against the committed golden, exactly like
-/// `paba repro`.
-pub fn churn(a: &Args) -> Result<(), String> {
-    reject_action(a)?;
-    let unknown = a.unknown_keys(&[
-        "scale",
-        "quick",
-        "seed",
-        "runs",
-        "threads",
-        "out",
-        "check",
-        "golden",
-        "csv",
-        "serve-metrics",
-        "side",
-        "files",
-        "cache",
-        "gamma",
-        "radius",
-        "cycle-fraction",
-        "graceful-fraction",
-        "inserts",
-        "repair",
-        "retry-budget",
-        "replication",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = if a.flag("quick") {
-        paba_util::envcfg::Scale::Quick
-    } else {
-        match a.get("scale") {
-            None => env_cfg.scale,
-            Some(s) => s
-                .parse()
-                .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-        }
-    };
-    let check = a.flag("check");
-    let mut cfg = paba_repro::ReproConfig::new(scale);
-    cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    cfg.runs_override = match a.get("runs") {
-        None => None,
-        Some(_) => match a.parse_or("runs", 0usize)? {
-            0 => return Err("--runs must be a positive run count".into()),
-            r => Some(r),
-        },
-    };
-    cfg.threads = match a.parse_or("threads", 0usize)? {
-        0 => None,
-        t => Some(t),
-    };
-
-    // Regime overrides: absent knobs keep the scale default (the
-    // configuration the committed golden was generated with).
-    let opt_u32 = |key: &str| -> Result<Option<u32>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => Ok(Some(a.parse_or(key, 0u32)?)),
-        }
-    };
-    let opt_frac = |key: &str| -> Result<Option<f64>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => {
-                let v: f64 = a.parse_or(key, 0.0f64)?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(format!("--{key}: expected a fraction in [0, 1], got {v}"));
-                }
-                Ok(Some(v))
-            }
-        }
-    };
-    let params = paba_repro::churn_experiments::ChurnParams {
-        side: opt_u32("side")?,
-        files: opt_u32("files")?,
-        cache: opt_u32("cache")?,
-        gamma: match a.get("gamma") {
-            None => None,
-            Some(_) => Some(a.parse_or("gamma", 0.0f64)?),
-        },
-        radius: opt_u32("radius")?,
-        cycle_fraction: opt_frac("cycle-fraction")?,
-        graceful_fraction: opt_frac("graceful-fraction")?,
-        inserts: opt_u32("inserts")?,
-        repair: match a.get("repair") {
-            None => None,
-            Some(s) => {
-                Some(paba_churn::RepairPolicy::parse(s).map_err(|e| format!("--repair: {e}"))?)
-            }
-        },
-        retry_budget: opt_u32("retry-budget")?,
-        replication: opt_u32("replication")?,
-    };
-
-    let default_out = if check {
-        // Never clobber the golden we are about to diff against.
-        "BENCH_churn_fresh.json"
-    } else {
-        "BENCH_churn.json"
-    };
-    let out = a.str_or("out", default_out);
-    let golden_path = a.str_or("golden", "BENCH_churn.json");
-    if a.get("golden").is_some() && !check {
-        return Err(
-            "--golden only makes sense with --check (a plain run would ignore it \
-             and regenerate the artifact instead)"
-                .into(),
-        );
-    }
-    // Load the golden *before* running or writing anything (see `repro`).
-    let golden = if check {
-        if out != "none" && same_file(&out, &golden_path) {
-            return Err(format!(
-                "--check refuses to overwrite the golden it diffs against \
-                 ('{golden_path}'); pass a different --out (or 'none')"
-            ));
-        }
         Some(paba_repro::Artifact::load_expecting(
             std::path::Path::new(&golden_path),
-            schema::CHURN,
+            suite.schema(),
         )?)
     } else {
         None
     };
 
     // `--serve-metrics`: every worker shares one recorder, so a scrape
-    // mid-suite sees churn events, dead-replica retries, failed requests,
-    // and repair migrations accumulate live.
-    let live = a.get("serve-metrics").is_some().then(|| {
-        LiveRun::new(
-            paba_repro::churn_experiments::planned_runs(&cfg) as u64,
-            false,
-        )
-    });
+    // mid-suite sees the run as it happens — churn events, dead-replica
+    // retries, and repair migrations for churn; progress only for
+    // queueing, whose engine records no counters.
+    let live = a
+        .get("serve-metrics")
+        .and(suite.planned_runs(&cfg))
+        .map(|runs| LiveRun::new(runs as u64, false));
     let _server = match &live {
         Some(l) => spawn_metrics(a, l)?,
         None => None,
     };
 
-    let artifact = paba_repro::run_churn_suite_with(&cfg, &params, live.as_ref());
-    let gates = paba_repro::gates_table(&artifact);
-    if a.flag("csv") {
-        print!("{}", gates.to_csv());
-    } else {
-        print!("{}", gates.to_markdown());
-    }
-    if let Some(l) = &live {
+    let artifact = suite.run(&cfg, live.as_ref());
+    print_table(a, &paba_repro::gates_table(&artifact));
+    if let (Some(l), Suite::Churn(_)) = (&live, suite) {
         eprint!("{}", l.recorder.snapshot().table());
     }
     if out != "none" {
@@ -1517,202 +1428,11 @@ pub fn churn(a: &Args) -> Result<(), String> {
         );
     }
     if !artifact.all_gates_passed() {
-        return Err("churn robustness gates failed (see table above)".into());
+        return Err(format!("{name} gates failed (see table above)"));
     }
     if let Some(golden) = golden {
         let rep = paba_repro::check(&artifact, &golden, paba_repro::DEFAULT_CHECK_Z)?;
-        let t = paba_repro::check_table(&rep);
-        if a.flag("csv") {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{}", t.to_markdown());
-        }
-        if !rep.ok() {
-            return Err(format!(
-                "golden check failed: {} regression(s) vs {golden_path}",
-                rep.regressions.len()
-            ));
-        }
-        eprintln!("golden check passed against {golden_path}");
-    }
-    Ok(())
-}
-
-/// `paba queueing` — the temporal serving-engine suite of `paba-repro`:
-/// paired queueing arms (random, fresh two-choice, stale-signal
-/// two-choice) over seeded cache networks plus an M/M/1 closed-form
-/// reference, gated on the pow-of-d sojourn collapse, Little's law, and
-/// throughput conservation. Writes the versioned `paba-queueing/1`
-/// artifact and (with `--check`) statistically diffs against the
-/// committed golden, exactly like `paba repro`.
-pub fn queueing(a: &Args) -> Result<(), String> {
-    reject_action(a)?;
-    let unknown = a.unknown_keys(&[
-        "scale",
-        "quick",
-        "seed",
-        "runs",
-        "threads",
-        "out",
-        "check",
-        "golden",
-        "csv",
-        "serve-metrics",
-        "side",
-        "files",
-        "cache",
-        "gamma",
-        "radius",
-        "lambda",
-        "horizon",
-        "warmup",
-        "stale-period",
-    ]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let env_cfg = paba_util::envcfg::EnvCfg::from_env();
-    let scale = if a.flag("quick") {
-        paba_util::envcfg::Scale::Quick
-    } else {
-        match a.get("scale") {
-            None => env_cfg.scale,
-            Some(s) => s
-                .parse()
-                .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
-        }
-    };
-    let check = a.flag("check");
-    let mut cfg = paba_repro::ReproConfig::new(scale);
-    cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    cfg.runs_override = match a.get("runs") {
-        None => None,
-        Some(_) => match a.parse_or("runs", 0usize)? {
-            0 => return Err("--runs must be a positive run count".into()),
-            r => Some(r),
-        },
-    };
-    cfg.threads = match a.parse_or("threads", 0usize)? {
-        0 => None,
-        t => Some(t),
-    };
-
-    // Regime overrides: absent knobs keep the scale default (the
-    // configuration the committed golden was generated with).
-    let opt_u32 = |key: &str| -> Result<Option<u32>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => Ok(Some(a.parse_or(key, 0u32)?)),
-        }
-    };
-    let opt_f64 = |key: &str| -> Result<Option<f64>, String> {
-        match a.get(key) {
-            None => Ok(None),
-            Some(_) => Ok(Some(a.parse_or(key, 0.0f64)?)),
-        }
-    };
-    let lambda = opt_f64("lambda")?;
-    if let Some(l) = lambda {
-        if !(0.0..1.0).contains(&l) || l == 0.0 {
-            return Err(format!("--lambda must be in (0,1), got {l}"));
-        }
-    }
-    let horizon = opt_f64("horizon")?;
-    let warmup = opt_f64("warmup")?;
-    if let (Some(w), Some(h)) = (warmup, horizon) {
-        if w >= h {
-            return Err(format!("--warmup must precede --horizon ({w} >= {h})"));
-        }
-    }
-    let stale_period = match a.get("stale-period") {
-        None => None,
-        Some(_) => match a.parse_or("stale-period", 0u64)? {
-            0 => return Err("--stale-period must be a positive dispatch count".into()),
-            p => Some(p),
-        },
-    };
-    let params = paba_repro::queueing_experiments::QueueingParams {
-        side: opt_u32("side")?,
-        files: opt_u32("files")?,
-        cache: opt_u32("cache")?,
-        gamma: opt_f64("gamma")?,
-        radius: opt_u32("radius")?,
-        lambda,
-        horizon,
-        warmup,
-        stale_period,
-    };
-
-    let default_out = if check {
-        // Never clobber the golden we are about to diff against.
-        "BENCH_queueing_fresh.json"
-    } else {
-        "BENCH_queueing.json"
-    };
-    let out = a.str_or("out", default_out);
-    let golden_path = a.str_or("golden", "BENCH_queueing.json");
-    if a.get("golden").is_some() && !check {
-        return Err(
-            "--golden only makes sense with --check (a plain run would ignore it \
-             and regenerate the artifact instead)"
-                .into(),
-        );
-    }
-    // Load the golden *before* running or writing anything (see `repro`).
-    let golden = if check {
-        if out != "none" && same_file(&out, &golden_path) {
-            return Err(format!(
-                "--check refuses to overwrite the golden it diffs against \
-                 ('{golden_path}'); pass a different --out (or 'none')"
-            ));
-        }
-        Some(paba_repro::Artifact::load_expecting(
-            std::path::Path::new(&golden_path),
-            schema::QUEUEING,
-        )?)
-    } else {
-        None
-    };
-
-    // `--serve-metrics`: the queueing engine records no counters, so the
-    // live handle exposes run progress only.
-    let live = a.get("serve-metrics").is_some().then(|| {
-        LiveRun::new(
-            paba_repro::queueing_experiments::planned_runs(&cfg) as u64,
-            false,
-        )
-    });
-    let _server = match &live {
-        Some(l) => spawn_metrics(a, l)?,
-        None => None,
-    };
-
-    let artifact = paba_repro::run_queueing_suite_with(&cfg, &params, live.as_ref());
-    let gates = paba_repro::gates_table(&artifact);
-    if a.flag("csv") {
-        print!("{}", gates.to_csv());
-    } else {
-        print!("{}", gates.to_markdown());
-    }
-    if out != "none" {
-        artifact.write(std::path::Path::new(&out))?;
-        eprintln!(
-            "wrote {} gates / {} metrics to {out}",
-            artifact.gates.len(),
-            artifact.metrics.len()
-        );
-    }
-    if !artifact.all_gates_passed() {
-        return Err("queueing gates failed (see table above)".into());
-    }
-    if let Some(golden) = golden {
-        let rep = paba_repro::check(&artifact, &golden, paba_repro::DEFAULT_CHECK_Z)?;
-        let t = paba_repro::check_table(&rep);
-        if a.flag("csv") {
-            print!("{}", t.to_csv());
-        } else {
-            print!("{}", t.to_markdown());
-        }
+        print_table(a, &paba_repro::check_table(&rep));
         if !rep.ok() {
             return Err(format!(
                 "golden check failed: {} regression(s) vs {golden_path}",
@@ -1731,10 +1451,7 @@ pub fn queueing(a: &Args) -> Result<(), String> {
 /// schema, provenance contradicting its artifact) exit nonzero.
 pub fn report(a: &Args) -> Result<(), String> {
     reject_action(a)?;
-    let unknown = a.unknown_keys(&["dir", "out"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
+    a.check_keys(&["dir", "out"])?;
     let dir = a.str_or("dir", ".");
     let out = a.str_or("out", "-");
     let rep = paba_bench::report::report_dir(std::path::Path::new(&dir))?;
@@ -1777,14 +1494,8 @@ pub fn workload(a: &Args) -> Result<(), String> {
 fn workload_generate(a: &Args) -> Result<(), String> {
     let mut known = vec!["side", "files", "cache", "gamma", "requests", "seed", "out"];
     known.extend_from_slice(WORKLOAD_KEYS);
-    let unknown = a.unknown_keys(&known);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
-    let side: u32 = a.parse_or("side", 45)?;
-    let k: u32 = a.parse_or("files", 500)?;
-    let m: u32 = a.parse_or("cache", 10)?;
-    let gamma: f64 = a.parse_or("gamma", 0.0)?;
+    a.check_keys(&known)?;
+    let (side, k, m, gamma) = shape_or(a, 45, 500, 10)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests_opt: u64 = a.parse_or("requests", 0)?;
     let out = a.get("out").ok_or("workload generate needs --out <path>")?;
@@ -1818,10 +1529,7 @@ fn workload_generate(a: &Args) -> Result<(), String> {
 }
 
 fn workload_inspect(a: &Args) -> Result<(), String> {
-    let unknown = a.unknown_keys(&["trace", "top", "csv"]);
-    if !unknown.is_empty() {
-        return Err(format!("unknown option(s): {unknown:?} (see 'paba help')"));
-    }
+    a.check_keys(&["trace", "top", "csv"])?;
     let path = a
         .get("trace")
         .ok_or("workload inspect needs --trace <path>")?;
@@ -1871,11 +1579,7 @@ fn workload_inspect(a: &Args) -> Result<(), String> {
             format!("{c} requests ({:.2}%)", 100.0 * c as f64 / total),
         ]);
     }
-    if a.flag("csv") {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.to_markdown());
-    }
+    print_table(a, &t);
     Ok(())
 }
 
@@ -2151,37 +1855,165 @@ mod tests {
             .contains("--runs"));
     }
 
-    #[test]
-    fn repro_generate_then_check_round_trips() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_repro_test_{}", std::process::id()));
+    fn repro(a: &Args) -> Result<(), String> {
+        gated_suite(a, "repro")
+    }
+
+    fn churn(a: &Args) -> Result<(), String> {
+        gated_suite(a, "churn")
+    }
+
+    fn queueing(a: &Args) -> Result<(), String> {
+        gated_suite(a, "queueing")
+    }
+
+    /// A scratch directory unique to this test process and `tag`.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("paba_cli_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_repro.json");
-        let fresh = dir.join("BENCH_repro_fresh.json");
-        // Reduced replication keeps this test fast; 16 runs still clears
-        // every gate threshold with margin, and the self-check is exact.
-        let gen = args(&format!(
-            "repro --quick --runs 16 --out {}",
-            golden.display()
-        ));
-        repro(&gen).unwrap();
+        dir
+    }
+
+    /// Generate a golden with `opts`, then `--check` a fresh run against it.
+    fn assert_generate_then_check_round_trips(suite: &str, opts: &str) {
+        let dir = scratch(&format!("{suite}_round_trip"));
+        let golden = dir.join(format!("BENCH_{suite}.json"));
+        let fresh = dir.join(format!("BENCH_{suite}_fresh.json"));
+        gated_suite(
+            &args(&format!("{suite} {opts} --out {}", golden.display())),
+            suite,
+        )
+        .unwrap();
         let json = std::fs::read_to_string(&golden).unwrap();
-        assert!(json.contains("\"schema\": \"paba-repro/1\""));
+        assert!(json.contains(&format!("\"schema\": \"paba-{suite}/1\"")));
         let chk = args(&format!(
-            "repro --quick --runs 16 --check --golden {} --out {}",
+            "{suite} {opts} --check --golden {} --out {}",
             golden.display(),
             fresh.display()
         ));
-        repro(&chk).unwrap();
+        gated_suite(&chk, suite).unwrap();
         assert!(fresh.exists(), "--check must write the fresh artifact");
-        std::fs::remove_file(&golden).ok();
-        std::fs::remove_file(&fresh).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A structurally valid artifact of another suite's schema must be
+    /// refused as the golden, naming both schemas.
+    fn assert_check_rejects_wrong_schema_golden(suite: &str, other: &str) {
+        let dir = scratch(&format!("{suite}_schema"));
+        let golden = dir.join(format!("BENCH_{other}.json"));
+        std::fs::write(
+            &golden,
+            format!(
+                "{{\"schema\": \"paba-{other}/1\", \"seed\": 1, \"scale\": \"quick\", \
+                 \"gates\": [], \"metrics\": []}}"
+            ),
+        )
+        .unwrap();
+        let err = gated_suite(
+            &args(&format!(
+                "{suite} --quick --runs 2 --check --golden {} --out none",
+                golden.display()
+            )),
+            suite,
+        )
+        .unwrap_err();
+        assert!(err.contains(&format!("paba-{suite}/1")), "{err}");
+        assert!(err.contains(&format!("paba-{other}/1")), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Same file, different spelling (an extra `./` component): the
+    /// overwrite guard must see through it and refuse before running.
+    fn assert_check_refuses_aliased_golden_out_paths(suite: &str) {
+        let dir = scratch(&format!("{suite}_alias"));
+        let golden = dir.join(format!("BENCH_{suite}.json"));
+        std::fs::write(&golden, "{}").unwrap();
+        let aliased = dir.join(".").join(format!("BENCH_{suite}.json"));
+        let a = args(&format!(
+            "{suite} --quick --runs 2 --check --golden {} --out {}",
+            golden.display(),
+            aliased.display()
+        ));
+        let err = gated_suite(&a, suite).unwrap_err();
+        assert!(err.contains("refuses to overwrite"), "{err}");
+        // The refusal must happen before anything touched the golden.
+        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn assert_golden_without_check_is_an_error(suite: &str) {
+        let a = args(&format!(
+            "{suite} --quick --runs 2 --golden /tmp/whatever.json --out none"
+        ));
+        let err = gated_suite(&a, suite).unwrap_err();
+        assert!(err.contains("--check"), "{err}");
+    }
+
+    #[test]
+    fn repro_generate_then_check_round_trips() {
+        // Reduced replication keeps this test fast; 16 runs still clears
+        // every gate threshold with margin, and the self-check is exact.
+        assert_generate_then_check_round_trips("repro", "--quick --runs 16");
+    }
+
+    #[test]
+    fn churn_generate_then_check_round_trips() {
+        assert_generate_then_check_round_trips("churn", "--quick --runs 8 --threads 2");
+    }
+
+    #[test]
+    fn queueing_generate_then_check_round_trips() {
+        assert_generate_then_check_round_trips("queueing", "--quick --runs 6 --threads 2");
+    }
+
+    #[test]
+    fn repro_check_rejects_wrong_schema_golden() {
+        assert_check_rejects_wrong_schema_golden("repro", "queueing");
+    }
+
+    #[test]
+    fn churn_check_rejects_wrong_schema_golden() {
+        assert_check_rejects_wrong_schema_golden("churn", "repro");
+    }
+
+    #[test]
+    fn queueing_check_rejects_wrong_schema_golden() {
+        assert_check_rejects_wrong_schema_golden("queueing", "churn");
+    }
+
+    #[test]
+    fn repro_check_refuses_aliased_golden_out_paths() {
+        assert_check_refuses_aliased_golden_out_paths("repro");
+    }
+
+    #[test]
+    fn churn_check_refuses_aliased_golden_out_paths() {
+        assert_check_refuses_aliased_golden_out_paths("churn");
+    }
+
+    #[test]
+    fn queueing_check_refuses_aliased_golden_out_paths() {
+        assert_check_refuses_aliased_golden_out_paths("queueing");
+    }
+
+    #[test]
+    fn repro_golden_without_check_is_an_error() {
+        assert_golden_without_check_is_an_error("repro");
+    }
+
+    #[test]
+    fn churn_golden_without_check_is_an_error() {
+        assert_golden_without_check_is_an_error("churn");
+    }
+
+    #[test]
+    fn queueing_golden_without_check_is_an_error() {
+        assert_golden_without_check_is_an_error("queueing");
     }
 
     #[test]
     fn repro_check_detects_doctored_golden() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_repro_doctored_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("repro_doctored");
         let golden = dir.join("BENCH_repro.json");
         repro(&args(&format!(
             "repro --quick --runs 16 --out {}",
@@ -2201,7 +2033,7 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("regression"), "{err}");
-        std::fs::remove_file(&golden).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2211,96 +2043,59 @@ mod tests {
     }
 
     #[test]
-    fn repro_check_refuses_aliased_golden_out_paths() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_repro_alias_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_repro.json");
-        std::fs::write(&golden, "{}").unwrap();
-        // Same file, different spelling (an extra `./` component): the
-        // overwrite guard must see through it and refuse before running.
-        let aliased = dir.join(".").join("BENCH_repro.json");
-        let a = args(&format!(
-            "repro --quick --runs 2 --check --golden {} --out {}",
-            golden.display(),
-            aliased.display()
-        ));
-        let err = repro(&a).unwrap_err();
-        assert!(err.contains("refuses to overwrite"), "{err}");
-        // The refusal must happen before anything touched the golden.
-        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
-        std::fs::remove_file(&golden).ok();
-    }
-
-    #[test]
-    fn repro_golden_without_check_is_an_error() {
-        let a = args("repro --quick --runs 2 --golden /tmp/whatever.json --out none");
-        let err = repro(&a).unwrap_err();
-        assert!(err.contains("--check"), "{err}");
-    }
-
-    #[test]
-    fn churn_generate_then_check_round_trips() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_churn_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_churn.json");
-        let fresh = dir.join("BENCH_churn_fresh.json");
-        let gen = args(&format!(
-            "churn --quick --runs 8 --threads 2 --out {}",
-            golden.display()
-        ));
-        churn(&gen).unwrap();
-        let json = std::fs::read_to_string(&golden).unwrap();
-        assert!(json.contains("\"schema\": \"paba-churn/1\""));
-        let chk = args(&format!(
-            "churn --quick --runs 8 --threads 2 --check --golden {} --out {}",
-            golden.display(),
-            fresh.display()
-        ));
-        churn(&chk).unwrap();
-        assert!(fresh.exists(), "--check must write the fresh artifact");
-        std::fs::remove_file(&golden).ok();
-        std::fs::remove_file(&fresh).ok();
-    }
-
-    #[test]
-    fn churn_check_rejects_wrong_schema_golden() {
-        // A repro artifact is structurally valid JSON but the wrong
-        // schema; the churn golden loader must name both schemas.
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_churn_schema_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_repro.json");
-        repro(&args(&format!(
-            "repro --quick --runs 16 --out {}",
-            golden.display()
-        )))
-        .unwrap();
-        let err = churn(&args(&format!(
-            "churn --quick --runs 2 --check --golden {} --out none",
-            golden.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("paba-churn/1"), "{err}");
-        assert!(err.contains("paba-repro/1"), "{err}");
-        std::fs::remove_file(&golden).ok();
-    }
-
-    #[test]
-    fn churn_check_refuses_aliased_golden_out_paths() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_churn_alias_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_churn.json");
-        std::fs::write(&golden, "{}").unwrap();
-        let aliased = dir.join(".").join("BENCH_churn.json");
-        let a = args(&format!(
-            "churn --quick --runs 2 --check --golden {} --out {}",
-            golden.display(),
-            aliased.display()
-        ));
-        let err = churn(&a).unwrap_err();
-        assert!(err.contains("refuses to overwrite"), "{err}");
-        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
-        std::fs::remove_file(&golden).ok();
+    fn gated_suites_accept_exactly_their_option_sets() {
+        // Each suite's option set, spelled out apart from the driver's key
+        // tables, so a table edit that adds or drops an option fails here.
+        let common = [
+            "scale", "quick", "seed", "runs", "out", "check", "golden", "csv",
+        ];
+        let regime = [
+            "threads",
+            "serve-metrics",
+            "side",
+            "files",
+            "cache",
+            "gamma",
+            "radius",
+        ];
+        let churn_own = [
+            "cycle-fraction",
+            "graceful-fraction",
+            "inserts",
+            "repair",
+            "retry-budget",
+            "replication",
+        ];
+        let queueing_own = ["lambda", "horizon", "warmup", "stale-period"];
+        let expected: [(&str, Vec<&str>); 3] = [
+            ("repro", common.to_vec()),
+            ("churn", [&common[..], &regime, &churn_own].concat()),
+            ("queueing", [&common[..], &regime, &queueing_own].concat()),
+        ];
+        let mut universe: Vec<&str> = [&common[..], &regime, &churn_own, &queueing_own].concat();
+        universe.extend(SIM_KEYS);
+        universe.extend(TRACE_KEYS);
+        universe.extend(["process", "bins", "baseline", "dir", "typo"]);
+        universe.sort_unstable();
+        universe.dedup();
+        for (suite, mut keys) in expected {
+            // `--golden` without `--check` fails after option parsing and
+            // before any run, so every key's fate shows in the error.
+            let accepted: Vec<&str> = universe
+                .iter()
+                .copied()
+                .filter(|key| {
+                    let a = args(&format!(
+                        "{suite} --{key} 1 --golden /nonexistent --out none"
+                    ));
+                    !gated_suite(&a, suite)
+                        .unwrap_err()
+                        .starts_with("unknown option")
+                })
+                .collect();
+            keys.sort_unstable();
+            assert_eq!(accepted, keys, "{suite}");
+        }
     }
 
     #[test]
@@ -2318,78 +2113,9 @@ mod tests {
                 .unwrap_err()
                 .contains("cycle-fraction")
         );
-        assert!(churn(&args(
-            "churn --quick --runs 2 --golden /tmp/g.json --out none"
-        ))
-        .unwrap_err()
-        .contains("--check"));
-    }
-
-    #[test]
-    fn queueing_generate_then_check_round_trips() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_queueing_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_queueing.json");
-        let fresh = dir.join("BENCH_queueing_fresh.json");
-        let gen = args(&format!(
-            "queueing --quick --runs 6 --threads 2 --out {}",
-            golden.display()
-        ));
-        queueing(&gen).unwrap();
-        let json = std::fs::read_to_string(&golden).unwrap();
-        assert!(json.contains("\"schema\": \"paba-queueing/1\""));
-        let chk = args(&format!(
-            "queueing --quick --runs 6 --threads 2 --check --golden {} --out {}",
-            golden.display(),
-            fresh.display()
-        ));
-        queueing(&chk).unwrap();
-        assert!(fresh.exists(), "--check must write the fresh artifact");
-        std::fs::remove_file(&golden).ok();
-        std::fs::remove_file(&fresh).ok();
-    }
-
-    #[test]
-    fn queueing_check_rejects_wrong_schema_golden() {
-        // A churn artifact is structurally valid JSON but the wrong
-        // schema; the queueing golden loader must name both schemas.
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_queueing_schema_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_churn.json");
-        churn(&args(&format!(
-            "churn --quick --runs 8 --threads 2 --out {}",
-            golden.display()
-        )))
-        .unwrap();
-        let err = queueing(&args(&format!(
-            "queueing --quick --runs 2 --check --golden {} --out none",
-            golden.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("paba-queueing/1"), "{err}");
-        assert!(err.contains("paba-churn/1"), "{err}");
-        std::fs::remove_file(&golden).ok();
-    }
-
-    #[test]
-    fn queueing_check_refuses_aliased_golden_out_paths() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_queueing_alias_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let golden = dir.join("BENCH_queueing.json");
-        std::fs::write(&golden, "{}").unwrap();
-        let aliased = dir.join(".").join("BENCH_queueing.json");
-        let a = args(&format!(
-            "queueing --quick --runs 2 --check --golden {} --out {}",
-            golden.display(),
-            aliased.display()
-        ));
-        let err = queueing(&a).unwrap_err();
-        assert!(err.contains("refuses to overwrite"), "{err}");
-        assert_eq!(std::fs::read_to_string(&golden).unwrap(), "{}");
-        std::fs::remove_file(&golden).ok();
+        assert!(churn(&args("churn --quick --side 1 --out none"))
+            .unwrap_err()
+            .contains("two nodes"));
     }
 
     #[test]
@@ -2410,11 +2136,65 @@ mod tests {
                 .unwrap_err()
                 .contains("stale-period")
         );
-        assert!(queueing(&args(
-            "queueing --quick --runs 2 --golden /tmp/g.json --out none"
+    }
+
+    #[test]
+    fn queueing_window_is_checked_against_the_effective_regime() {
+        // One flag alone must be checked against the scale default of the
+        // other, and a non-finite or negative window is never valid.
+        for bad in [
+            "--warmup 1e9",
+            "--horizon 0",
+            "--horizon -5",
+            "--horizon nan",
+            "--horizon inf",
+            "--warmup -1",
+            "--warmup nan",
+            "--warmup 10 --horizon 5",
+        ] {
+            let err = queueing(&args(&format!(
+                "queueing --quick --runs 1 {bad} --out none"
+            )))
+            .unwrap_err();
+            assert!(err.contains("warmup"), "{bad}: {err}");
+            let err = queue(&args(&format!("queue --side 4 {bad}"))).unwrap_err();
+            assert!(err.contains("warmup"), "queue {bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn bad_network_shapes_are_errors_in_every_subcommand() {
+        type Cmd = fn(&Args) -> Result<(), String>;
+        let commands: [(&str, Cmd); 5] = [
+            ("simulate --runs 1", simulate),
+            ("trace --runs 1", trace),
+            ("queue --horizon 10 --warmup 1", queue),
+            ("churn --quick --runs 1 --out none", churn),
+            ("queueing --quick --runs 1 --out none", queueing),
+        ];
+        let bad = [
+            ("--side 0", "--side"),
+            ("--side 46341", "--side"),
+            ("--files 0", "--files"),
+            ("--cache 0", "--cache"),
+            ("--gamma -1", "--gamma"),
+            ("--gamma nan", "--gamma"),
+            ("--gamma inf", "--gamma"),
+        ];
+        for (base, cmd) in commands {
+            for (input, key) in bad {
+                let result = cmd(&args(&format!("{base} {input}")));
+                let err = result.expect_err(&format!("{base} {input} must fail"));
+                assert!(err.contains(key), "{base} {input}: {err}");
+            }
+        }
+        // Distinct placement cannot put more distinct files in a cache
+        // than the library holds.
+        let err = simulate(&args(
+            "simulate --runs 1 --placement distinct --files 5 --cache 6",
         ))
-        .unwrap_err()
-        .contains("--check"));
+        .unwrap_err();
+        assert!(err.contains("--cache"), "{err}");
     }
 
     #[test]

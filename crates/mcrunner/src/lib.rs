@@ -11,9 +11,9 @@
 //! 2. per-run outputs are collected *by run index* and folded
 //!    sequentially, so floating-point accumulation order is fixed.
 //!
-//! Work is distributed by an atomic work-stealing counter over
-//! `std::thread::scope` scoped threads (no executor dependency, no
-//! unsafety).
+//! Work is distributed by strided ownership — worker `t` of `T` runs
+//! indices `t, t + T, t + 2T, …` — over `std::thread::scope` scoped
+//! threads (no executor dependency, no unsafety, no shared counter).
 //!
 //! ```
 //! use paba_mcrunner::run_parallel;
@@ -33,6 +33,6 @@ pub mod traced;
 
 pub use live::{run_parallel_live, LiveRun};
 pub use progress::Progress;
-pub use runner::{run_parallel, run_parallel_with_progress, run_parallel_with_state, summarize};
+pub use runner::{run_parallel, run_parallel_with_state, summarize};
 pub use sweep::{sweep, sweep_summaries, PointSummary, SweepOutcome};
 pub use traced::run_parallel_traced;

@@ -23,106 +23,28 @@ where
     O: Send,
     F: Fn(usize, &mut SmallRng) -> O + Sync,
 {
-    run_parallel_with_progress(runs, master_seed, threads, None, run_fn)
+    run_parallel_with_state(
+        runs,
+        master_seed,
+        threads,
+        None,
+        || (),
+        |&(), i, rng| run_fn(i, rng),
+    )
+    .0
 }
 
-/// [`run_parallel`] with an optional shared [`Progress`] tracker that is
-/// ticked once per completed run.
-pub fn run_parallel_with_progress<O, F>(
-    runs: usize,
-    master_seed: u64,
-    threads: Option<usize>,
-    progress: Option<&Progress>,
-    run_fn: F,
-) -> Vec<O>
-where
-    O: Send,
-    F: Fn(usize, &mut SmallRng) -> O + Sync,
-{
-    if runs == 0 {
-        return Vec::new();
-    }
-    let n_threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(runs);
-
-    if n_threads == 1 {
-        // Fast single-threaded path (also keeps tests easy to reason about).
-        let mut out = Vec::with_capacity(runs);
-        for i in 0..runs {
-            let mut rng = SmallRng::seed_from_u64(split_seed(master_seed, i as u64));
-            out.push(run_fn(i, &mut rng));
-            if let Some(p) = progress {
-                p.tick();
-            }
-        }
-        return out;
-    }
-
-    // Lock-free collection: thread `t` owns the strided index set
-    // {t, t + T, t + 2T, …} and appends into its private output vector, so
-    // workers never contend on a shared lock. Striding (rather than
-    // contiguous chunks) keeps the load balanced when run costs vary
-    // systematically with the index, as in flattened sweep grids. Results
-    // are interleaved back into run order afterwards; determinism is
-    // untouched because each run's RNG depends only on
-    // `(master_seed, run_index)`.
-    let per_thread: Vec<Vec<O>> = std::thread::scope(|scope| {
-        let run_fn = &run_fn;
-        let handles: Vec<_> = (0..n_threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut local: Vec<O> = Vec::with_capacity(runs.div_ceil(n_threads));
-                    let mut i = t;
-                    while i < runs {
-                        let mut rng = SmallRng::seed_from_u64(split_seed(master_seed, i as u64));
-                        local.push(run_fn(i, &mut rng));
-                        if let Some(p) = progress {
-                            p.tick();
-                        }
-                        i += n_threads;
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| panic!("a Monte-Carlo worker panicked"))
-            })
-            .collect()
-    });
-
-    let mut iters: Vec<std::vec::IntoIter<O>> =
-        per_thread.into_iter().map(Vec::into_iter).collect();
-    (0..runs)
-        .map(|i| {
-            iters[i % n_threads]
-                .next()
-                .unwrap_or_else(|| panic!("run {i} produced no output"))
-        })
-        .collect()
-}
-
-/// [`run_parallel_with_progress`] variant giving each worker thread its
-/// own state built by `init` — e.g. a telemetry recorder — returned
-/// alongside the outputs for post-join merging.
+/// [`run_parallel`] with an optional shared [`Progress`] tracker, ticked
+/// once per completed run, and per-worker state built by `init` — e.g. a
+/// telemetry recorder — returned alongside the outputs for post-join
+/// merging.
 ///
-/// Returns `(outputs, states)`: outputs in **run-index order** (exactly as
-/// [`run_parallel`]), states one per effective worker thread in thread
-/// order (a single state on the single-threaded path). Determinism of the
-/// outputs is untouched — each run's RNG still depends only on
-/// `(master_seed, run_index)` and the strided ownership pattern is reused
-/// verbatim; the state is for side-channel accumulation whose merge must
-/// be order-insensitive (which thread ran which runs *does* vary with the
-/// thread count).
+/// Returns `(outputs, states)`: outputs in **run-index order**, states
+/// one per effective worker thread in thread order. Determinism of the
+/// outputs is untouched — each run's RNG depends only on
+/// `(master_seed, run_index)`; the state is for side-channel accumulation
+/// whose merge must be order-insensitive (which thread ran which runs
+/// *does* vary with the thread count).
 pub fn run_parallel_with_state<O, S, I, F>(
     runs: usize,
     master_seed: u64,
@@ -149,51 +71,44 @@ where
         .max(1)
         .min(runs);
 
-    if n_threads == 1 {
+    // Lock-free collection: worker `t` owns the strided index set
+    // {t, t + T, t + 2T, …} and appends into its private output vector, so
+    // workers never contend on a shared lock. Striding (rather than
+    // contiguous chunks) keeps the load balanced when run costs vary
+    // systematically with the index, as in flattened sweep grids.
+    let worker = |t: usize| {
         let state = init();
-        let mut out = Vec::with_capacity(runs);
-        for i in 0..runs {
+        let mut local: Vec<O> = Vec::with_capacity(runs.div_ceil(n_threads));
+        for i in (t..runs).step_by(n_threads) {
             let mut rng = SmallRng::seed_from_u64(split_seed(master_seed, i as u64));
-            out.push(run_fn(&state, i, &mut rng));
+            local.push(run_fn(&state, i, &mut rng));
             if let Some(p) = progress {
                 p.tick();
             }
         }
-        return (out, vec![state]);
-    }
-
-    // Same strided lock-free pattern as run_parallel_with_progress, with
-    // each worker owning one state for its whole stride.
-    let results: Vec<(Vec<O>, S)> = std::thread::scope(|scope| {
-        let run_fn = &run_fn;
-        let init = &init;
-        let handles: Vec<_> = (0..n_threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let state = init();
-                    let mut local: Vec<O> = Vec::with_capacity(runs.div_ceil(n_threads));
-                    let mut i = t;
-                    while i < runs {
-                        let mut rng = SmallRng::seed_from_u64(split_seed(master_seed, i as u64));
-                        local.push(run_fn(&state, i, &mut rng));
-                        if let Some(p) = progress {
-                            p.tick();
-                        }
-                        i += n_threads;
-                    }
-                    (local, state)
+        (local, state)
+    };
+    let results: Vec<(Vec<O>, S)> = if n_threads == 1 {
+        // No spawn for a single worker (also keeps tests easy to reason about).
+        vec![worker(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..n_threads)
+                .map(|t| scope.spawn(move || worker(t)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|_| panic!("a Monte-Carlo worker panicked"))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| panic!("a Monte-Carlo worker panicked"))
-            })
-            .collect()
-    });
+                .collect()
+        })
+    };
 
+    // Interleave back into run order; determinism is untouched because
+    // each run's RNG depends only on `(master_seed, run_index)`.
     let (per_thread, states): (Vec<Vec<O>>, Vec<S>) = results.into_iter().unzip();
     let mut iters: Vec<std::vec::IntoIter<O>> =
         per_thread.into_iter().map(Vec::into_iter).collect();
@@ -274,8 +189,9 @@ mod tests {
 
     #[test]
     fn progress_ticks_once_per_run() {
+        // The single-worker path ticks too.
         let p = Progress::new(120, false);
-        let _ = run_parallel_with_progress(120, 1, Some(4), Some(&p), |i, _| i);
+        let _ = run_parallel_with_state(120, 1, Some(1), Some(&p), || (), |&(), i, _| i);
         assert_eq!(p.completed(), 120);
     }
 

@@ -19,7 +19,7 @@
 
 use crate::artifact::{Gate, Metric};
 use crate::experiments::Z_NONINF;
-use crate::ReproConfig;
+use crate::{NetworkParams, ReproConfig};
 use paba_churn::{simulate_churn, ChurnCfg, ChurnSchedule, RepairPolicy, ScheduleSpec};
 use paba_core::{simulate_source, CacheNetwork, IidUniform, ProximityChoice, UncachedPolicy};
 use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
@@ -68,16 +68,8 @@ const METRIC_IDS: [&str; N_METRICS] = [
 /// default-regime golden will rightly flag the changed behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ChurnParams {
-    /// Torus side (n = side²).
-    pub side: Option<u32>,
-    /// Library size K.
-    pub files: Option<u32>,
-    /// Cache slots per server M.
-    pub cache: Option<u32>,
-    /// Zipf exponent of the request popularity (0 = uniform).
-    pub gamma: Option<f64>,
-    /// Two-choice proximity radius.
-    pub radius: Option<u32>,
+    /// Network regime: side, library, cache, popularity, radius.
+    pub net: NetworkParams,
     /// Fraction of nodes cycled down and back up.
     pub cycle_fraction: Option<f64>,
     /// Of the cycled nodes, the fraction leaving gracefully vs crashing.
@@ -114,11 +106,11 @@ fn regime(scale: Scale, p: &ChurnParams) -> Regime {
     };
     let defaults = ChurnCfg::default();
     Regime {
-        side: p.side.unwrap_or(side),
-        k: p.files.unwrap_or(k),
-        m: p.cache.unwrap_or(m),
-        gamma: p.gamma.unwrap_or(0.8),
-        radius: p.radius.unwrap_or(radius),
+        side: p.net.side.unwrap_or(side),
+        k: p.net.files.unwrap_or(k),
+        m: p.net.cache.unwrap_or(m),
+        gamma: p.net.gamma.unwrap_or(0.8),
+        radius: p.net.radius.unwrap_or(radius),
         repair: p.repair.unwrap_or(RepairPolicy::TwoChoices),
         retry_budget: p.retry_budget.unwrap_or(defaults.retry_budget),
         replication: p.replication.unwrap_or(defaults.replication),
@@ -258,9 +250,13 @@ pub fn planned_runs(cfg: &ReproConfig) -> usize {
     cfg.runs(10, 24, 48)
 }
 
-/// The churn experiment at the scale-default regime.
-pub fn churn(cfg: &ReproConfig, gates: &mut Vec<Gate>, metrics: &mut Vec<Metric>) {
-    churn_with(cfg, &ChurnParams::default(), None, gates, metrics);
+/// Reject a regime the engine cannot run: the schedule cycles at least
+/// one node while another stays up, so the network needs two nodes.
+pub fn validate(scale: Scale, params: &ChurnParams) -> Result<(), String> {
+    match regime(scale, params).side {
+        0 | 1 => Err("churn needs at least two nodes (side ≥ 2)".into()),
+        _ => Ok(()),
+    }
 }
 
 /// The churn experiment: metrics + the five robustness gates. `params`

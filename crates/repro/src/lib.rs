@@ -23,8 +23,10 @@
 //! (`BENCH_repro.json`, schema `paba-repro/1`), and `--check` diffs a
 //! fresh run against a committed golden within statistical tolerance —
 //! distinguishing RNG-reshuffle *noise* from behavioral *regression*
-//! (see [`artifact::check`]). Every scale/speed PR runs through this
-//! suite in CI.
+//! (see [`artifact::check`]). The churn-robustness
+//! ([`churn_experiments`]) and temporal queueing
+//! ([`queueing_experiments`]) suites produce the same kind of artifact;
+//! [`Suite`] runs all three through one entry point, and CI runs each.
 
 pub mod artifact;
 pub mod churn_experiments;
@@ -74,69 +76,102 @@ impl ReproConfig {
     }
 }
 
-/// Run the full suite and assemble the artifact.
-pub fn run_suite(cfg: &ReproConfig) -> Artifact {
-    let mut gates = Vec::new();
-    let mut metrics = Vec::new();
-    experiments::growth(cfg, &mut gates, &mut metrics);
-    experiments::tradeoff(cfg, &mut gates, &mut metrics);
-    experiments::goodness(cfg, &mut gates, &mut metrics);
-    Artifact {
-        schema: SCHEMA.into(),
-        seed: cfg.seed,
-        scale: artifact::scale_label(cfg.scale).into(),
-        gates,
-        metrics,
+/// CLI-facing overrides of a suite's network regime, shared by the churn
+/// and queueing suites. `None` keeps the scale default — the
+/// configuration the committed golden was generated with.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct NetworkParams {
+    /// Torus side (n = side²).
+    pub side: Option<u32>,
+    /// Library size K.
+    pub files: Option<u32>,
+    /// Cache slots per server M.
+    pub cache: Option<u32>,
+    /// Zipf exponent of the request popularity (0 = uniform).
+    pub gamma: Option<f64>,
+    /// Two-choice proximity radius.
+    pub radius: Option<u32>,
+}
+
+/// One gated suite with its regime overrides. Every suite runs the same
+/// way: [`Suite::run`] executes its experiments and assembles the
+/// versioned artifact that `--check` diffs against the committed golden.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Suite {
+    /// The theorem-gated reproduction suite: growth, tradeoff, goodness.
+    Repro,
+    /// The churn-robustness suite (see [`churn_experiments`]).
+    Churn(churn_experiments::ChurnParams),
+    /// The temporal queueing suite (see [`queueing_experiments`]).
+    Queueing(queueing_experiments::QueueingParams),
+}
+
+impl Suite {
+    /// Subcommand name; the artifact is `BENCH_<name>.json`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Suite::Repro => "repro",
+            Suite::Churn(_) => "churn",
+            Suite::Queueing(_) => "queueing",
+        }
     }
-}
 
-/// Run the churn-robustness suite and assemble its artifact
-/// (`BENCH_churn.json`, schema `paba-churn/1`).
-pub fn run_churn_suite(cfg: &ReproConfig) -> Artifact {
-    run_churn_suite_with(cfg, &churn_experiments::ChurnParams::default(), None)
-}
-
-/// [`run_churn_suite`] with regime overrides and an optional live
-/// observability handle (see [`churn_experiments::churn_with`]).
-pub fn run_churn_suite_with(
-    cfg: &ReproConfig,
-    params: &churn_experiments::ChurnParams,
-    live: Option<&paba_mcrunner::LiveRun>,
-) -> Artifact {
-    let mut gates = Vec::new();
-    let mut metrics = Vec::new();
-    churn_experiments::churn_with(cfg, params, live, &mut gates, &mut metrics);
-    Artifact {
-        schema: paba_util::schema::CHURN.into(),
-        seed: cfg.seed,
-        scale: artifact::scale_label(cfg.scale).into(),
-        gates,
-        metrics,
+    /// Schema id of the suite's artifact.
+    pub fn schema(&self) -> &'static str {
+        match self {
+            Suite::Repro => paba_util::schema::REPRO,
+            Suite::Churn(_) => paba_util::schema::CHURN,
+            Suite::Queueing(_) => paba_util::schema::QUEUEING,
+        }
     }
-}
 
-/// Run the temporal queueing suite and assemble its artifact
-/// (`BENCH_queueing.json`, schema `paba-queueing/1`).
-pub fn run_queueing_suite(cfg: &ReproConfig) -> Artifact {
-    run_queueing_suite_with(cfg, &queueing_experiments::QueueingParams::default(), None)
-}
+    /// Monte-Carlo run count a live progress tracker should expect, or
+    /// `None` for the repro suite, whose sweeps track their own progress
+    /// and take no live handle.
+    pub fn planned_runs(&self, cfg: &ReproConfig) -> Option<usize> {
+        match self {
+            Suite::Repro => None,
+            Suite::Churn(_) => Some(churn_experiments::planned_runs(cfg)),
+            Suite::Queueing(_) => Some(queueing_experiments::planned_runs(cfg)),
+        }
+    }
 
-/// [`run_queueing_suite`] with regime overrides and an optional live
-/// observability handle (see [`queueing_experiments::queueing_with`]).
-pub fn run_queueing_suite_with(
-    cfg: &ReproConfig,
-    params: &queueing_experiments::QueueingParams,
-    live: Option<&paba_mcrunner::LiveRun>,
-) -> Artifact {
-    let mut gates = Vec::new();
-    let mut metrics = Vec::new();
-    queueing_experiments::queueing_with(cfg, params, live, &mut gates, &mut metrics);
-    Artifact {
-        schema: paba_util::schema::QUEUEING.into(),
-        seed: cfg.seed,
-        scale: artifact::scale_label(cfg.scale).into(),
-        gates,
-        metrics,
+    /// Reject overrides the engines cannot run at `scale`, before any
+    /// work starts.
+    pub fn validate(&self, scale: Scale) -> Result<(), String> {
+        match self {
+            Suite::Repro => Ok(()),
+            Suite::Churn(p) => churn_experiments::validate(scale, p),
+            Suite::Queueing(p) => queueing_experiments::validate(scale, p),
+        }
+    }
+
+    /// Run the suite and assemble its artifact. `live` (the
+    /// `--serve-metrics` path) observes the churn and queueing runs
+    /// without perturbing them; the repro suite ignores it.
+    pub fn run(&self, cfg: &ReproConfig, live: Option<&paba_mcrunner::LiveRun>) -> Artifact {
+        let mut gates = Vec::new();
+        let mut metrics = Vec::new();
+        match self {
+            Suite::Repro => {
+                experiments::growth(cfg, &mut gates, &mut metrics);
+                experiments::tradeoff(cfg, &mut gates, &mut metrics);
+                experiments::goodness(cfg, &mut gates, &mut metrics);
+            }
+            Suite::Churn(p) => {
+                churn_experiments::churn_with(cfg, p, live, &mut gates, &mut metrics)
+            }
+            Suite::Queueing(p) => {
+                queueing_experiments::queueing_with(cfg, p, live, &mut gates, &mut metrics)
+            }
+        }
+        Artifact {
+            schema: self.schema().into(),
+            seed: cfg.seed,
+            scale: artifact::scale_label(cfg.scale).into(),
+            gates,
+            metrics,
+        }
     }
 }
 
@@ -202,18 +237,28 @@ pub fn check_table(rep: &CheckReport) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use churn_experiments::ChurnParams;
+    use queueing_experiments::QueueingParams;
+
+    fn churn(cfg: &ReproConfig) -> Artifact {
+        Suite::Churn(ChurnParams::default()).run(cfg, None)
+    }
+
+    fn queueing(cfg: &ReproConfig) -> Artifact {
+        Suite::Queueing(QueueingParams::default()).run(cfg, None)
+    }
 
     /// The quick suite itself, end to end: every gate must pass, the
     /// artifact must round-trip, and a self-check against its own output
     /// must be clean. This is the crate's own tier-1 anchor; CI's
-    /// `repro-smoke` job additionally diffs against the committed golden.
+    /// `suite-smoke` job additionally diffs against the committed golden.
     #[test]
     fn quick_suite_passes_and_round_trips() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         // Trim runs for test wall-clock; gates are designed to clear
         // their thresholds with margin even at reduced replication.
         cfg.runs_override = Some(12);
-        let a = run_suite(&cfg);
+        let a = Suite::Repro.run(&cfg, None);
         for g in &a.gates {
             assert!(
                 g.passed,
@@ -247,9 +292,9 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(3);
         cfg.threads = Some(1);
-        let a = run_suite(&cfg);
+        let a = Suite::Repro.run(&cfg, None);
         cfg.threads = Some(8);
-        let b = run_suite(&cfg);
+        let b = Suite::Repro.run(&cfg, None);
         // JSON form: bitwise-identical output, NaN fields included.
         assert_eq!(a.to_json(), b.to_json());
     }
@@ -258,7 +303,7 @@ mod tests {
     fn quick_churn_suite_passes_and_round_trips() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(8);
-        let a = run_churn_suite(&cfg);
+        let a = churn(&cfg);
         assert_eq!(a.schema, paba_util::schema::CHURN);
         for g in &a.gates {
             assert!(
@@ -279,13 +324,9 @@ mod tests {
         // touches the RNG stream), and the churn counters must flow.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(3);
-        let plain = run_churn_suite(&cfg);
+        let plain = churn(&cfg);
         let live = paba_mcrunner::LiveRun::new(3, false);
-        let observed = run_churn_suite_with(
-            &cfg,
-            &churn_experiments::ChurnParams::default(),
-            Some(&live),
-        );
+        let observed = Suite::Churn(ChurnParams::default()).run(&cfg, Some(&live));
         assert_eq!(plain.metrics, observed.metrics);
         assert_eq!(plain.gates.len(), observed.gates.len());
         for (a, b) in plain.gates.iter().zip(&observed.gates) {
@@ -302,13 +343,13 @@ mod tests {
     fn churn_params_override_changes_the_regime() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
-        let kill_heavy = churn_experiments::ChurnParams {
+        let kill_heavy = ChurnParams {
             graceful_fraction: Some(0.0),
             cycle_fraction: Some(0.3),
             ..Default::default()
         };
-        let a = run_churn_suite_with(&cfg, &kill_heavy, None);
-        let b = run_churn_suite(&cfg);
+        let a = Suite::Churn(kill_heavy).run(&cfg, None);
+        let b = churn(&cfg);
         // More crashes, same metric ids — the artifacts stay comparable
         // but the measured behavior differs.
         assert_eq!(
@@ -331,9 +372,9 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(4);
         cfg.threads = Some(1);
-        let a = run_churn_suite(&cfg);
+        let a = churn(&cfg);
         cfg.threads = Some(8);
-        let b = run_churn_suite(&cfg);
+        let b = churn(&cfg);
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -341,7 +382,7 @@ mod tests {
     fn quick_queueing_suite_passes_and_round_trips() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(8);
-        let a = run_queueing_suite(&cfg);
+        let a = queueing(&cfg);
         assert_eq!(a.schema, paba_util::schema::QUEUEING);
         for g in &a.gates {
             assert!(
@@ -364,13 +405,9 @@ mod tests {
         // stream through it, so the artifact must be bit-identical.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
-        let plain = run_queueing_suite(&cfg);
+        let plain = queueing(&cfg);
         let live = paba_mcrunner::LiveRun::new(2, false);
-        let observed = run_queueing_suite_with(
-            &cfg,
-            &queueing_experiments::QueueingParams::default(),
-            Some(&live),
-        );
+        let observed = Suite::Queueing(QueueingParams::default()).run(&cfg, Some(&live));
         assert_eq!(plain.to_json(), observed.to_json());
     }
 
@@ -378,12 +415,12 @@ mod tests {
     fn queueing_params_override_changes_the_regime() {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(2);
-        let hotter = queueing_experiments::QueueingParams {
+        let hotter = QueueingParams {
             lambda: Some(0.95),
             ..Default::default()
         };
-        let a = run_queueing_suite_with(&cfg, &hotter, None);
-        let b = run_queueing_suite(&cfg);
+        let a = Suite::Queueing(hotter).run(&cfg, None);
+        let b = queueing(&cfg);
         // Same metric ids — the artifacts stay comparable — but the
         // hotter system queues measurably deeper.
         assert_eq!(
@@ -406,9 +443,9 @@ mod tests {
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(4);
         cfg.threads = Some(1);
-        let a = run_queueing_suite(&cfg);
+        let a = queueing(&cfg);
         cfg.threads = Some(8);
-        let b = run_queueing_suite(&cfg);
+        let b = queueing(&cfg);
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -418,9 +455,9 @@ mod tests {
         // different master seed) must pass the statistical diff.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(12);
-        let a = run_suite(&cfg);
+        let a = Suite::Repro.run(&cfg, None);
         cfg.seed = cfg.seed.wrapping_add(1);
-        let b = run_suite(&cfg);
+        let b = Suite::Repro.run(&cfg, None);
         let rep = check(&b, &a, DEFAULT_CHECK_Z).unwrap();
         assert!(
             rep.ok(),

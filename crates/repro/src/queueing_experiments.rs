@@ -26,9 +26,9 @@
 
 use crate::artifact::{Gate, Metric};
 use crate::experiments::Z_NONINF;
-use crate::ReproConfig;
+use crate::{NetworkParams, ReproConfig};
 use paba_core::{CacheNetwork, ProximityChoice, StaleLoad, Strategy};
-use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
+use paba_mcrunner::{run_parallel_with_state, summarize, LiveRun};
 use paba_popularity::Popularity;
 use paba_supermarket::{simulate_queueing, QueueSimConfig};
 use paba_topology::Torus;
@@ -82,16 +82,8 @@ const METRIC_IDS: [&str; N_METRICS] = [
 /// behavior.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct QueueingParams {
-    /// Torus side (n = side²).
-    pub side: Option<u32>,
-    /// Library size K.
-    pub files: Option<u32>,
-    /// Cache slots per server M.
-    pub cache: Option<u32>,
-    /// Zipf exponent of the request popularity (0 = uniform).
-    pub gamma: Option<f64>,
-    /// Two-choice proximity radius.
-    pub radius: Option<u32>,
+    /// Network regime: side, library, cache, popularity, radius.
+    pub net: NetworkParams,
     /// Per-server arrival rate λ of the paired arms.
     pub lambda: Option<f64>,
     /// Simulation end time.
@@ -122,18 +114,31 @@ fn regime(scale: Scale, p: &QueueingParams) -> Regime {
         Scale::Default => (10, 80, 6, 4, 6_000.0, 2_000.0),
         Scale::Full => (16, 160, 8, 5, 10_000.0, 3_000.0),
     };
-    let side = p.side.unwrap_or(side);
+    let side = p.net.side.unwrap_or(side);
     let n = side as u64 * side as u64;
     Regime {
         side,
-        k: p.files.unwrap_or(k),
-        m: p.cache.unwrap_or(m),
-        gamma: p.gamma.unwrap_or(0.8),
-        radius: p.radius.unwrap_or(radius),
+        k: p.net.files.unwrap_or(k),
+        m: p.net.cache.unwrap_or(m),
+        gamma: p.net.gamma.unwrap_or(0.8),
+        radius: p.net.radius.unwrap_or(radius),
         lambda: p.lambda.unwrap_or(0.9),
         horizon: p.horizon.unwrap_or(horizon),
         warmup: p.warmup.unwrap_or(warmup),
         stale_period: p.stale_period.unwrap_or(4 * n),
+    }
+}
+
+impl Regime {
+    /// Engine configuration of the paired arms.
+    fn sim_config(&self) -> QueueSimConfig {
+        QueueSimConfig {
+            lambda: self.lambda,
+            horizon: self.horizon,
+            warmup: self.warmup,
+            tail_cap: 32,
+            stride: 0,
+        }
     }
 }
 
@@ -169,13 +174,7 @@ fn run_one(regime: &Regime, rng: &mut SmallRng) -> [f64; N_METRICS] {
         .library(regime.k, pop)
         .cache_size(regime.m)
         .build(&mut net_rng);
-    let cfg = QueueSimConfig {
-        lambda: regime.lambda,
-        horizon: regime.horizon,
-        warmup: regime.warmup,
-        tail_cap: 32,
-        stride: 0,
-    };
+    let cfg = regime.sim_config();
     let r = Some(regime.radius);
 
     let random = arm(&net, ProximityChoice::with_choices(r, 1), &cfg, run_seed);
@@ -245,9 +244,11 @@ pub fn planned_runs(cfg: &ReproConfig) -> usize {
     cfg.runs(10, 24, 48)
 }
 
-/// The queueing experiment at the scale-default regime.
-pub fn queueing(cfg: &ReproConfig, gates: &mut Vec<Gate>, metrics: &mut Vec<Metric>) {
-    queueing_with(cfg, &QueueingParams::default(), None, gates, metrics);
+/// Reject a regime the engine cannot run — an unstable arrival rate or
+/// a measurement window that is not `0 ≤ warmup < horizon` — checked
+/// after the scale defaults fill in whatever `params` leaves open.
+pub fn validate(scale: Scale, params: &QueueingParams) -> Result<(), String> {
+    regime(scale, params).sim_config().validate()
 }
 
 /// The queueing experiment: metrics + the six temporal gates. `params`
@@ -265,14 +266,15 @@ pub fn queueing_with(
     let regime = regime(cfg.scale, params);
     let runs = planned_runs(cfg);
     let master = mix_seed(cfg.seed, 0x9EE1E);
-    let rows: Vec<[f64; N_METRICS]> = match live {
-        Some(l) => run_parallel_live(runs, master, cfg.threads, l, |_rec, _i, rng| {
-            run_one(&regime, rng)
-        }),
-        None => run_parallel(runs, master, cfg.threads, |_i, rng: &mut SmallRng| {
-            run_one(&regime, rng)
-        }),
-    };
+    // The engine records no counters, so a live handle only ticks progress.
+    let (rows, _) = run_parallel_with_state(
+        runs,
+        master,
+        cfg.threads,
+        live.map(|l| l.progress.as_ref()),
+        || (),
+        |&(), _i, rng| run_one(&regime, rng),
+    );
 
     let col = |i: usize| summarize(rows.iter().map(move |r| r[i]));
     let max_col = |i: usize| rows.iter().map(|r| r[i]).fold(f64::NEG_INFINITY, f64::max);

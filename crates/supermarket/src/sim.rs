@@ -62,6 +62,31 @@ impl Default for QueueSimConfig {
     }
 }
 
+impl QueueSimConfig {
+    /// Check the run is well-posed: a stable arrival rate and a finite
+    /// measurement window `0 ≤ warmup < horizon`.
+    pub fn validate(&self) -> Result<(), String> {
+        let (lambda, warmup, horizon) = (self.lambda, self.warmup, self.horizon);
+        if !(lambda > 0.0 && lambda < 1.0) {
+            return Err(format!(
+                "lambda must satisfy 0 < λ < 1 for stability, got {lambda}"
+            ));
+        }
+        if !(warmup.is_finite() && horizon.is_finite() && warmup >= 0.0) {
+            return Err(format!(
+                "warmup and horizon must be finite with warmup ≥ 0 \
+                 (warmup {warmup}, horizon {horizon})"
+            ));
+        }
+        if warmup >= horizon {
+            return Err(format!(
+                "warmup must precede horizon ({warmup} >= {horizon})"
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Exponential variate with the given rate.
 #[inline]
 fn exp_sample<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> f64 {
