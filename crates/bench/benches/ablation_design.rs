@@ -21,8 +21,8 @@
 
 use paba_bench::{emit, header, NetPoint};
 use paba_core::{
-    simulate, simulate_with_policy, LeastLoadedInBall, NearestReplica, PairMode, PlacementPolicy,
-    ProximityChoice, UncachedPolicy,
+    simulate, simulate_source, IidUniform, LeastLoadedInBall, NearestReplica, PairMode,
+    PlacementPolicy, ProximityChoice, UncachedPolicy,
 };
 use paba_util::envcfg::EnvCfg;
 use paba_util::Table;
@@ -159,7 +159,8 @@ fn main() {
         |(i, ()), _r, rng| {
             let net = sparse.build(rng);
             let mut s = NearestReplica::new();
-            let rep = simulate_with_policy(&net, &mut s, net.n() as u64, policies[*i], rng);
+            let mut source = IidUniform::with_policy(policies[*i]);
+            let rep = simulate_source(&net, &mut s, &mut source, net.n() as u64, rng);
             (
                 rep.max_load() as f64,
                 rep.comm_cost(),

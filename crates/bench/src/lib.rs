@@ -11,10 +11,7 @@
 //! Environment knobs (see [`paba_util::envcfg`]): `PABA_RUNS`,
 //! `PABA_SEED`, `PABA_SCALE=quick|default|full`.
 
-pub mod diff;
-pub mod profile;
 pub mod report;
-pub mod throughput;
 
 use paba_core::{
     simulate_source, CacheNetwork, NearestReplica, PlacementPolicy, ProximityChoice, UncachedPolicy,

@@ -3,8 +3,9 @@
 //! Two properties the tracing layer promises:
 //!
 //! 1. a *real* traced simulation (network build, Strategy II assignment,
-//!    load series) produces bit-identical event streams and time series
-//!    no matter how many mcrunner threads collect it;
+//!    load series) produces bit-identical event streams, time series and
+//!    merged counter snapshots no matter how many mcrunner threads
+//!    collect it, with exactly one sampler path counted per request;
 //! 2. reservoir sampling retains request indices uniformly — checked with
 //!    per-bucket z-scores and a χ²-style aggregate built from
 //!    [`paba_theory::bounds::binomial_sigma`].
@@ -12,9 +13,12 @@
 use paba_core::{
     simulate_source_profiled, CacheNetwork, PlacementPolicy, ProximityChoice, UncachedPolicy,
 };
-use paba_mcrunner::run_parallel_traced;
+use paba_mcrunner::{run_parallel_traced, run_parallel_with_state};
 use paba_popularity::Popularity;
-use paba_telemetry::{Recorder, Sampling, TraceConfig, TraceRecorder, TraceReport};
+use paba_telemetry::{
+    AtomicRecorder, Recorder, SamplerPath, Sampling, TelemetrySnapshot, TraceConfig, TraceRecorder,
+    TraceReport,
+};
 use paba_theory::bounds::binomial_sigma;
 use paba_topology::Torus;
 use paba_workload::WorkloadSpec;
@@ -25,7 +29,7 @@ const RUNS: usize = 6;
 
 /// One full traced run: fresh placement, Strategy II (d=2, r=3), IID
 /// workload, recorder threaded through both the strategy and the loop.
-fn sim_run(rec: &TraceRecorder, rng: &mut SmallRng) -> (u32, f64) {
+fn sim_run<Rec: Recorder + Copy>(rec: Rec, rng: &mut SmallRng) -> (u32, f64) {
     let net: CacheNetwork<Torus> = CacheNetwork::builder()
         .torus_side(SIDE)
         .library(24, Popularity::Uniform)
@@ -80,6 +84,83 @@ fn real_simulation_trace_identical_across_thread_counts() {
                 assert!(r.events.iter().all(|e| e.request % n == 0));
             }
         }
+    }
+}
+
+/// The `paba simulate --telemetry` collection path: one
+/// [`AtomicRecorder`] per worker, snapshots merged after join.
+fn recorded(threads: usize) -> (Vec<(u32, f64)>, TelemetrySnapshot) {
+    let (out, recorders) = run_parallel_with_state(
+        RUNS,
+        0xA5,
+        Some(threads),
+        None,
+        AtomicRecorder::new,
+        |rec, _i, rng| sim_run(rec, rng),
+    );
+    let mut snap = TelemetrySnapshot::empty();
+    for rec in &recorders {
+        snap.merge(&rec.snapshot());
+    }
+    (out, snap)
+}
+
+#[test]
+fn snapshot_totals_independent_of_thread_count() {
+    let (out1, snap1) = recorded(1);
+    assert_eq!(snap1.total_requests(), RUNS as u64 * 64);
+    for threads in [2usize, 4] {
+        let (out, snap) = recorded(threads);
+        assert_eq!(out1, out, "outputs, {threads} threads");
+        for path in SamplerPath::ALL {
+            assert_eq!(
+                snap1.path_count(path),
+                snap.path_count(path),
+                "{} count drifted with {threads} threads",
+                path.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn paths_sum_to_request_count() {
+    // Sparse and full placement, finite and unbounded radius: the merged
+    // snapshot of several runs records exactly one sampler path per request.
+    for (radius, full) in [
+        (Some(3), false),
+        (None, false),
+        (Some(3), true),
+        (None, true),
+    ] {
+        let (k, m, policy) = if full {
+            (20, 20, PlacementPolicy::FullLibrary)
+        } else {
+            (50, 3, PlacementPolicy::ProportionalWithReplacement)
+        };
+        let (_, recorders) =
+            run_parallel_with_state(3, 11, Some(2), None, AtomicRecorder::new, |rec, _i, rng| {
+                let net: CacheNetwork<Torus> = CacheNetwork::builder()
+                    .torus_side(10)
+                    .library(k, Popularity::Uniform)
+                    .cache_size(m)
+                    .placement_policy(policy)
+                    .build(rng);
+                let mut s = ProximityChoice::two_choice(radius).with_recorder(rec);
+                let mut source = WorkloadSpec::Iid
+                    .build(&net, UncachedPolicy::ResampleFile)
+                    .expect("IID workload fits any network");
+                simulate_source_profiled(&net, &mut s, &mut source, 100, rng, &rec);
+            });
+        let mut snap = TelemetrySnapshot::empty();
+        for rec in &recorders {
+            snap.merge(&rec.snapshot());
+        }
+        assert_eq!(
+            snap.total_requests(),
+            300,
+            "radius={radius:?} full={full}: exactly one sampler path per request"
+        );
     }
 }
 

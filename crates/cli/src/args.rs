@@ -74,6 +74,20 @@ impl Args {
         Ok(self.parse_opt(key)?.unwrap_or(default))
     }
 
+    /// [`Self::parse_or`] for a count that must be at least 1, so a zero
+    /// fails here ("--KEY must be a positive WHAT") instead of panicking
+    /// or averaging an empty sample further down.
+    pub fn positive_or<T>(&self, key: &str, default: T, what: &str) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialEq + From<u8>,
+    {
+        let v = self.parse_or(key, default)?;
+        if v == T::from(0) {
+            return Err(format!("--{key} must be a positive {what}"));
+        }
+        Ok(v)
+    }
+
     /// Typed option, `None` when absent; errors name the flag.
     pub fn parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.get(key)

@@ -32,9 +32,6 @@ USAGE:
   paba ballsbins [options]            run a classic balls-into-bins process
   paba workload generate [options]    generate a request trace file
   paba workload inspect [options]     summarize a request trace file
-  paba throughput [options]           measure assign-loop requests/sec
-  paba profile [options]              profile sampler paths and stage timings
-  paba profile --diff OLD NEW         statistically diff two profile artifacts
   paba trace [options]                time-resolved tracing: sampled events,
                                       load time series, Chrome-trace spans
   paba repro [options]                run the theorem-gated reproduction suite
@@ -73,8 +70,7 @@ SIMULATE OPTIONS (defaults in parentheses):
                     http://ADDR/metrics for the duration of the run;
                     ADDR like 127.0.0.1:9464 (port 0 = ephemeral, the
                     bound address is printed to stderr). Also accepted
-                    by 'paba trace' and 'paba throughput' (the latter
-                    exposes grid progress only)
+                    by 'paba trace'
   --workload W      iid | hotspot | zipf-origins | flash-crowd | shifting
                     | trace (iid), plus the workload options below
 
@@ -107,35 +103,6 @@ QUEUE OPTIONS (plus the workload options above):
   --horizon T       simulated time (2000)
   --warmup T        measurement warm-up (500)
   --stride S        sample the queue-length series every S arrivals (0 = off)
-
-THROUGHPUT OPTIONS:
-  --scale S         quick | default | full grid (PABA_SCALE or default)
-  --seed S          master seed (20170529)
-  --requests Q      requests per grid point (0 = n of the point)
-  --out PATH        JSON report path (BENCH_throughput.json; 'none' skips)
-  --csv             emit CSV instead of a table
-  --serve-metrics ADDR  serve grid progress at http://ADDR/metrics
-
-PROFILE OPTIONS:
-  --scale S         quick | default | full grid (PABA_SCALE or default)
-  --seed S          master seed (20170529)
-  --runs R          Monte-Carlo runs merged per grid point (4)
-  --requests Q      requests per run (0 = n of the point)
-  --out PATH        JSON artifact path (BENCH_profile.json; 'none' skips)
-  --baseline PATH   committed throughput artifact for the NullRecorder
-                    non-regression check (BENCH_throughput.json; 'none' skips)
-  --tolerance T     geometric-mean speedup-ratio gate (0.35)
-  --check           fail when the baseline gate fails or no baseline exists
-  --csv             emit CSV instead of tables
-
-PROFILE DIFF (paba profile --diff OLD.json NEW.json):
-  compares two paba-profile/1 artifacts — per-regime sampler-path shares
-  (two-proportion z-test), stage-time ratios, and baseline throughput
-  geo-mean — and exits nonzero when any regression gate trips
-  --diff-z Z        |z| gate for a path-share shift (6)
-  --share-floor F   absolute share delta a shift must also exceed (0.02)
-  --span-ratio R    NEW/OLD mean stage-time ratio gate (3)
-  --speedup-ratio R NEW/OLD speedup geo-mean lower gate (0.5)
 
 TRACE OPTIONS (plus the simulate/workload options above):
   --sample N        keep every N-th request's event (16)
@@ -514,9 +481,9 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
     a.check_keys(&known)?;
     let (side, k, m, gamma) = shape_or(a, 45, 500, 10)?;
     let radius = a.radius("radius")?;
-    let choices: u32 = a.parse_or("choices", 2)?;
+    let choices: u32 = a.positive_or("choices", 2, "number of choices")?;
     let stale: u64 = a.parse_or("stale", 1)?;
-    let runs: usize = a.parse_or("runs", 20)?;
+    let runs: usize = a.positive_or("runs", 20, "run count")?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests_opt: u64 = a.parse_or("requests", 0)?;
     let strategy = a.str_or("strategy", "two-choice");
@@ -904,8 +871,8 @@ pub fn queue(a: &Args) -> Result<(), String> {
     a.check_keys(&known)?;
     let (side, k, m, gamma) = shape_or(a, 24, 32, 8)?;
     let radius = a.radius("radius")?;
-    let choices: u32 = a.parse_or("choices", 2)?;
-    let stale: u64 = a.parse_or("stale", 1)?;
+    let choices: u32 = a.positive_or("choices", 2, "number of choices")?;
+    let stale: u64 = a.positive_or("stale", 1, "refresh period")?;
     let stride: u64 = a.parse_or("stride", 0)?;
     let lambda: f64 = a.parse_or("lambda", 0.8)?;
     let horizon: f64 = a.parse_or("horizon", 2_000.0)?;
@@ -920,9 +887,6 @@ pub fn queue(a: &Args) -> Result<(), String> {
         stride,
     };
     cfg.validate()?;
-    if stale == 0 {
-        return Err("--stale must be a positive refresh period".into());
-    }
     let spec = workload_spec(a)?;
     spec.validate(side * side, k)?;
 
@@ -1017,12 +981,17 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
     ];
     a.check_keys(&known)?;
     let process = a.str_or("process", "two");
-    let n: u32 = a.parse_or("bins", 4096)?;
+    let n: u32 = a.positive_or("bins", 4096, "number of bins")?;
     let m: u64 = a.parse_or("balls", n as u64)?;
-    let d: u32 = a.parse_or("d", 3)?;
+    let d: u32 = a.positive_or("d", 3, "number of choices")?;
     let beta: f64 = a.parse_or("beta", 0.5)?;
-    let batch: u64 = a.parse_or("batch", 64)?;
-    let runs: usize = a.parse_or("runs", 20)?;
+    if !(0.0..=1.0).contains(&beta) {
+        return Err(format!(
+            "--beta: expected a probability in [0, 1], got {beta}"
+        ));
+    }
+    let batch: u64 = a.positive_or("batch", 64, "batch size")?;
+    let runs: usize = a.positive_or("runs", 20, "run count")?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     if !matches!(process.as_str(), "one" | "two" | "d" | "beta" | "batched") {
         return Err(format!("--process: unknown process '{process}'"));
@@ -1059,184 +1028,6 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
         format!("{}", s.max),
     ]);
     print_table(a, &t);
-    Ok(())
-}
-
-/// `paba throughput` — the requests/sec harness of `paba-bench`, exposed
-/// on the CLI so perf runs don't require a bench target invocation.
-pub fn throughput(a: &Args) -> Result<(), String> {
-    reject_action(a)?;
-    a.check_keys(&["scale", "seed", "requests", "out", "csv", "serve-metrics"])?;
-    let scale = scale(a)?;
-    let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    let requests: u64 = a.parse_or("requests", 0)?;
-    let out = a.str_or("out", "BENCH_throughput.json");
-
-    // `--serve-metrics` here exposes grid progress only: the timed loops
-    // stay uninstrumented, since a recorder in the hot path would perturb
-    // exactly what this harness measures.
-    let points = paba_bench::throughput::regime_grid(scale).len() as u64;
-    let live = a
-        .get("serve-metrics")
-        .is_some()
-        .then(|| LiveRun::new(points, false));
-    let _server = match &live {
-        Some(l) => spawn_metrics(a, l)?,
-        None => None,
-    };
-    let measurements = paba_bench::throughput::run_grid_with_progress(
-        scale,
-        seed,
-        requests,
-        live.as_ref().map(|l| l.progress.as_ref()),
-    );
-    let table = paba_bench::throughput::to_table(&measurements);
-    print_table(a, &table);
-    if out != "none" {
-        let path = std::path::PathBuf::from(&out);
-        paba_bench::throughput::write_json(&path, &measurements, seed, scale)?;
-        eprintln!("wrote {} measurements to {out}", measurements.len());
-    }
-    Ok(())
-}
-
-/// `paba profile` — the telemetry harness of `paba-bench`: run the
-/// throughput regime grid under Strategy II with an [`AtomicRecorder`]
-/// threaded through the hot path, print per-regime sampler-path
-/// breakdowns plus the aggregate counter/timing view, optionally gate on
-/// the NullRecorder throughput baseline, and write `BENCH_profile.json`.
-pub fn profile(a: &Args) -> Result<(), String> {
-    // `paba profile --diff OLD.json NEW.json`: statistically compare two
-    // committed profile artifacts instead of running the grid. Must come
-    // before reject_action — NEW.json parses as the positional action.
-    if let Some(old) = a.get("diff") {
-        let new = a
-            .action
-            .as_deref()
-            .ok_or("--diff needs two artifacts: paba profile --diff OLD.json NEW.json")?;
-        a.check_keys(&[
-            "diff",
-            "diff-z",
-            "share-floor",
-            "span-ratio",
-            "speedup-ratio",
-            "csv",
-        ])?;
-        let defaults = paba_bench::diff::DiffGates::default();
-        let gates = paba_bench::diff::DiffGates {
-            z: a.parse_or("diff-z", defaults.z)?,
-            share_floor: a.parse_or("share-floor", defaults.share_floor)?,
-            span_ratio: a.parse_or("span-ratio", defaults.span_ratio)?,
-            speedup_ratio: a.parse_or("speedup-ratio", defaults.speedup_ratio)?,
-        };
-        let diff = paba_bench::diff::diff_files(
-            std::path::Path::new(old),
-            std::path::Path::new(new),
-            gates,
-        )?;
-        let t = paba_bench::diff::diff_table(&diff);
-        print_table(a, &t);
-        let regressions = diff.regressions();
-        eprintln!(
-            "compared {} shared regime label(s): {} regression(s)",
-            diff.compared_labels, regressions
-        );
-        if regressions > 0 {
-            return Err(format!(
-                "{regressions} regression(s) between {old} and {new} \
-                 (gates: z>{:.1}, share>{:.3}, span ratio>{:.2}, speedup ratio<{:.2})",
-                gates.z, gates.share_floor, gates.span_ratio, gates.speedup_ratio
-            ));
-        }
-        return Ok(());
-    }
-    reject_action(a)?;
-    a.check_keys(&[
-        "scale",
-        "seed",
-        "runs",
-        "requests",
-        "out",
-        "baseline",
-        "tolerance",
-        "check",
-        "csv",
-    ])?;
-    let scale = scale(a)?;
-    let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    let runs: usize = a.parse_or("runs", 4)?;
-    if runs == 0 {
-        return Err("--runs must be a positive run count".into());
-    }
-    let requests: u64 = a.parse_or("requests", 0)?;
-    let out = a.str_or("out", "BENCH_profile.json");
-    let baseline_path = a.str_or("baseline", "BENCH_throughput.json");
-    let tolerance: f64 =
-        a.parse_or("tolerance", paba_bench::profile::DEFAULT_BASELINE_TOLERANCE)?;
-    let check = a.flag("check");
-
-    let points = paba_bench::profile::run_profile(scale, seed, runs, requests, None);
-    let table = paba_bench::profile::to_table(&points);
-    if a.flag("csv") {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_markdown());
-        println!();
-        print!("{}", paba_bench::profile::aggregate(&points).table());
-    }
-
-    let baseline = if baseline_path == "none" {
-        None
-    } else {
-        paba_bench::profile::baseline_check(
-            std::path::Path::new(&baseline_path),
-            scale,
-            seed,
-            tolerance,
-        )?
-    };
-    if let Some(b) = &baseline {
-        let t = paba_bench::profile::baseline_table(b);
-        if a.flag("csv") {
-            print!("{}", t.to_csv());
-        } else {
-            println!();
-            print!("{}", t.to_markdown());
-        }
-        eprintln!(
-            "baseline {}: geo-mean speedup ratio {:.2} vs {baseline_path} (gate {:.2})",
-            if b.pass { "ok" } else { "FAILED" },
-            b.geo_mean_ratio,
-            b.tolerance
-        );
-    }
-    if out != "none" {
-        paba_bench::profile::write_json(
-            std::path::Path::new(&out),
-            &points,
-            baseline.as_ref(),
-            seed,
-            scale,
-        )?;
-        eprintln!("wrote {} profiled points to {out}", points.len());
-    }
-    if check {
-        match &baseline {
-            None => {
-                return Err(format!(
-                    "--check needs a committed baseline artifact ('{baseline_path}' not found)"
-                ))
-            }
-            Some(b) if !b.pass => {
-                return Err(format!(
-                    "NullRecorder throughput regressed: geo-mean speedup ratio {:.3} \
-                     below tolerance {:.3} (vs {baseline_path})",
-                    b.geo_mean_ratio, b.tolerance
-                ))
-            }
-            _ => {}
-        }
-    }
     Ok(())
 }
 
@@ -1735,29 +1526,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_quick_runs_and_writes_json() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_throughput_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_throughput.json");
-        let a = args(&format!(
-            "throughput --scale quick --requests 400 --csv --out {}",
-            path.display()
-        ));
-        throughput(&a).unwrap();
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"schema\": \"paba-throughput/1\""));
-        assert!(json.contains("\"sampler\": \"hybrid\""));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn throughput_rejects_bad_scale() {
-        let a = args("throughput --scale enormous --out none");
-        assert!(throughput(&a).unwrap_err().contains("enormous"));
-    }
-
-    #[test]
     fn simulate_telemetry_accounts_for_every_request() {
         // side 8 → n = 64 requests per run, 3 runs.
         let a = args("simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3 --telemetry");
@@ -1791,68 +1559,6 @@ mod tests {
         assert!(json.contains("\"schema\": \"paba-telemetry/1\""));
         assert!(json.contains("\"sampler_paths\""));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn profile_quick_writes_valid_artifact() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_profile_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_profile.json");
-        let a = args(&format!(
-            "profile --scale quick --runs 1 --requests 200 --csv --baseline none --out {}",
-            path.display()
-        ));
-        profile(&a).unwrap();
-        let json = std::fs::read_to_string(&path).unwrap();
-        let doc = paba_repro::json::parse(&json).expect("artifact parses");
-        assert_eq!(
-            doc.get("schema").and_then(paba_repro::json::Json::as_str),
-            Some("paba-profile/1")
-        );
-        // Every point's sampler-path counters sum to its request count.
-        for p in doc
-            .get("points")
-            .and_then(paba_repro::json::Json::as_arr)
-            .unwrap()
-        {
-            let requests = p
-                .get("requests")
-                .and_then(paba_repro::json::Json::as_u64)
-                .unwrap();
-            let paths = p.get("telemetry").unwrap().get("sampler_paths").unwrap();
-            let sum: u64 = paba_telemetry::SamplerPath::ALL
-                .iter()
-                .map(|sp| {
-                    paths
-                        .get(sp.label())
-                        .and_then(paba_repro::json::Json::as_u64)
-                        .unwrap()
-                })
-                .sum();
-            assert_eq!(sum, requests);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn profile_check_without_baseline_fails() {
-        let a = args(
-            "profile --scale quick --runs 1 --requests 100 --csv --out none \
-             --check --baseline /nonexistent/BENCH_throughput.json",
-        );
-        let err = profile(&a).unwrap_err();
-        assert!(err.contains("--check"), "{err}");
-    }
-
-    #[test]
-    fn profile_rejects_bad_scale_and_zero_runs() {
-        assert!(profile(&args("profile --scale enormous --out none"))
-            .unwrap_err()
-            .contains("enormous"));
-        assert!(profile(&args("profile --runs 0 --out none"))
-            .unwrap_err()
-            .contains("--runs"));
     }
 
     fn repro(a: &Args) -> Result<(), String> {
@@ -2198,6 +1904,38 @@ mod tests {
     }
 
     #[test]
+    fn zero_counts_are_errors_not_panics_or_nan_tables() {
+        type Cmd = fn(&Args) -> Result<(), String>;
+        // `--runs 0` takes the gated suites' wording for the same mistake.
+        const RUNS: &str = "--runs must be a positive run count";
+        let cases: [(Cmd, &str, &str); 11] = [
+            (
+                simulate,
+                "simulate --strategy d-choice --choices 0",
+                "--choices",
+            ),
+            (trace, "trace --strategy d-choice --choices 0", "--choices"),
+            (queue, "queue --strategy d-choice --choices 0", "--choices"),
+            (simulate, "simulate --runs 0", RUNS),
+            (trace, "trace --runs 0", RUNS),
+            (ballsbins, "ballsbins --runs 0", RUNS),
+            (ballsbins, "ballsbins --bins 0", "--bins"),
+            (ballsbins, "ballsbins --process d --d 0", "--d"),
+            (
+                ballsbins,
+                "ballsbins --process batched --batch 0",
+                "--batch",
+            ),
+            (ballsbins, "ballsbins --process beta --beta 1.5", "--beta"),
+            (ballsbins, "ballsbins --process beta --beta nan", "--beta"),
+        ];
+        for (cmd, argv, want) in cases {
+            let err = cmd(&args(argv)).expect_err(&format!("{argv} must fail"));
+            assert!(err.contains(want), "{argv}: {err}");
+        }
+    }
+
+    #[test]
     fn workload_requires_action() {
         assert!(workload(&args("workload")).unwrap_err().contains("action"));
         assert!(workload(&args("workload prune"))
@@ -2304,60 +2042,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_diff_self_is_clean_and_doctored_regresses() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_profile_diff_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = dir.join("old_profile.json");
-        profile(&args(&format!(
-            "profile --scale quick --runs 1 --requests 200 --csv --baseline none --out {}",
-            old.display()
-        )))
-        .unwrap();
-        // Self-diff: identical artifacts carry zero regressions.
-        profile(&args(&format!(
-            "profile --csv --diff {} {}",
-            old.display(),
-            old.display()
-        )))
-        .unwrap();
-        // Doctor one path counter far beyond any noise gate.
-        let text = std::fs::read_to_string(&old).unwrap();
-        let doc = paba_repro::json::parse(&text).unwrap();
-        let n = doc
-            .get("points")
-            .and_then(paba_repro::json::Json::as_arr)
-            .unwrap()[0]
-            .get("telemetry")
-            .unwrap()
-            .get("sampler_paths")
-            .unwrap()
-            .get("exact-scan")
-            .and_then(paba_repro::json::Json::as_u64)
-            .unwrap();
-        let doctored_text =
-            text.replacen(&format!("\"exact-scan\":{n}"), "\"exact-scan\":999999", 1);
-        assert_ne!(text, doctored_text, "perturbation must hit the artifact");
-        let doctored = dir.join("new_profile.json");
-        std::fs::write(&doctored, doctored_text).unwrap();
-        let err = profile(&args(&format!(
-            "profile --csv --diff {} {}",
-            old.display(),
-            doctored.display()
-        )))
-        .unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-        std::fs::remove_file(&old).ok();
-        std::fs::remove_file(&doctored).ok();
-    }
-
-    #[test]
-    fn profile_diff_requires_both_artifacts() {
-        let err = profile(&args("profile --diff only_one.json")).unwrap_err();
-        assert!(err.contains("two artifacts"), "{err}");
-    }
-
-    #[test]
     fn simulate_serve_metrics_runs_and_matches_plain_results() {
         // An ephemeral port keeps the test parallel-safe; the endpoint's
         // HTTP behaviour is covered in paba-telemetry, here we check the
@@ -2389,10 +2073,9 @@ mod tests {
     fn report_aggregates_generated_artifacts() {
         let dir = std::env::temp_dir().join(format!("paba_cli_report_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let tp = dir.join("BENCH_throughput.json");
-        throughput(&args(&format!(
-            "throughput --scale quick --requests 200 --csv --out {}",
-            tp.display()
+        churn(&args(&format!(
+            "churn --quick --runs 8 --threads 2 --csv --out {}",
+            dir.join("BENCH_churn.json").display()
         )))
         .unwrap();
         repro(&args(&format!(
@@ -2409,8 +2092,9 @@ mod tests {
         .unwrap();
         let md = std::fs::read_to_string(&out).unwrap();
         assert!(md.contains("# paba benchmark report"));
-        assert!(md.contains("BENCH_throughput.json"));
-        assert!(md.contains("Theorem gates"));
+        assert!(md.contains("BENCH_churn.json"));
+        assert!(md.contains("BENCH_repro.json"));
+        assert_eq!(md.matches("Theorem gates").count(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,66 +7,34 @@
 
 use crate::metrics::SimReport;
 use crate::network::CacheNetwork;
-use crate::request::{Request, UncachedPolicy};
 use crate::source::{IidUniform, RequestSource};
-use crate::strategy::{Assignment, Strategy};
-use paba_telemetry::{Recorder, SpanTimer, Stage};
+use crate::strategy::Strategy;
+use paba_telemetry::{NullRecorder, Recorder, SpanTimer, Stage};
 use paba_topology::Topology;
 use rand::Rng;
 
-/// Run `requests` sequential requests through `strategy` and return the
-/// aggregated [`SimReport`].
+/// Run `requests` sequential requests from the paper's IID workload
+/// ([`IidUniform`], uncached files resampled — see DESIGN.md §5) through
+/// `strategy` and return the aggregated [`SimReport`].
 ///
-/// Uses [`UncachedPolicy::ResampleFile`] (the workspace default — see
-/// DESIGN.md §5); use [`simulate_with_policy`] to override.
+/// For another workload or uncached-file policy, pass a source to
+/// [`simulate_source`] (e.g. `IidUniform::with_policy(p)`).
 pub fn simulate<T: Topology, S: Strategy<T>, R: Rng + ?Sized>(
     net: &CacheNetwork<T>,
     strategy: &mut S,
     requests: u64,
     rng: &mut R,
 ) -> SimReport {
-    simulate_with_policy(net, strategy, requests, UncachedPolicy::ResampleFile, rng)
-}
-
-/// [`simulate`] with an explicit uncached-file policy.
-pub fn simulate_with_policy<T: Topology, S: Strategy<T>, R: Rng + ?Sized>(
-    net: &CacheNetwork<T>,
-    strategy: &mut S,
-    requests: u64,
-    policy: UncachedPolicy,
-    rng: &mut R,
-) -> SimReport {
-    simulate_observed(net, strategy, requests, policy, rng, |_, _| {})
-}
-
-/// [`simulate`] variant invoking `observer(request, assignment)` after
-/// every decision — used by tests and by experiments needing per-request
-/// traces (e.g. the Lemma 3 edge-frequency check).
-pub fn simulate_observed<T, S, R, F>(
-    net: &CacheNetwork<T>,
-    strategy: &mut S,
-    requests: u64,
-    policy: UncachedPolicy,
-    rng: &mut R,
-    observer: F,
-) -> SimReport
-where
-    T: Topology,
-    S: Strategy<T>,
-    R: Rng + ?Sized,
-    F: FnMut(Request, Assignment),
-{
-    let mut source = IidUniform::with_policy(policy);
-    simulate_source_observed(net, strategy, &mut source, requests, rng, observer)
+    simulate_source(net, strategy, &mut IidUniform::new(), requests, rng)
 }
 
 /// Run `requests` sequential requests drawn from an arbitrary
 /// [`RequestSource`] through `strategy`.
 ///
-/// This is the primitive every other `simulate*` entry point wraps; the
-/// legacy entry points are thin wrappers over [`IidUniform`]. For a finite
-/// source (e.g. a trace replay), `requests` may not exceed the source's
-/// remaining length — finite sources panic when drawn past the end.
+/// [`simulate_source_profiled`] with a [`NullRecorder`], which compiles
+/// the recording away. For a finite source (e.g. a trace replay),
+/// `requests` may not exceed the source's remaining length — finite
+/// sources panic when drawn past the end.
 pub fn simulate_source<T, S, W, R>(
     net: &CacheNetwork<T>,
     strategy: &mut S,
@@ -80,14 +48,15 @@ where
     W: RequestSource<T>,
     R: Rng + ?Sized,
 {
-    simulate_source_observed(net, strategy, source, requests, rng, |_, _| {})
+    simulate_source_profiled(net, strategy, source, requests, rng, &NullRecorder)
 }
 
-/// [`simulate_source`] with stage-level span timing and per-request load
-/// observation: the whole request loop runs inside a [`Stage::AssignLoop`]
-/// span on `rec`, and after each request is recorded `rec` observes the
-/// full load vector via [`Recorder::loads`] (feeding load-evolution time
-/// series; a no-op for recorders that don't collect them).
+/// The request loop every entry point runs, with stage-level span timing
+/// and per-request load observation: the whole loop runs inside a
+/// [`Stage::AssignLoop`] span on `rec`, and after each request is
+/// recorded `rec` observes the full load vector via [`Recorder::loads`]
+/// (feeding load-evolution time series; a no-op for recorders that don't
+/// collect them).
 ///
 /// The recorder passed here times the loop and watches loads; to
 /// additionally count sampler paths the *strategy* must carry a recorder
@@ -122,37 +91,10 @@ where
     report
 }
 
-/// [`simulate_source`] invoking `observer(request, assignment)` after
-/// every decision.
-pub fn simulate_source_observed<T, S, W, R, F>(
-    net: &CacheNetwork<T>,
-    strategy: &mut S,
-    source: &mut W,
-    requests: u64,
-    rng: &mut R,
-    mut observer: F,
-) -> SimReport
-where
-    T: Topology,
-    S: Strategy<T>,
-    W: RequestSource<T>,
-    R: Rng + ?Sized,
-    F: FnMut(Request, Assignment),
-{
-    let mut report = SimReport::new(net.n());
-    for _ in 0..requests {
-        let req = source.next_request(net, rng);
-        let a = strategy.assign(net, &report.loads, req, rng);
-        report.record(a.server, a.hops, a.fallback);
-        observer(req, a);
-    }
-    debug_assert!(report.check_conservation());
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::UncachedPolicy;
     use crate::strategy::{NearestReplica, ProximityChoice};
     use paba_popularity::Popularity;
     use paba_topology::Torus;
@@ -181,24 +123,27 @@ mod tests {
 
     #[test]
     fn observer_sees_every_request() {
+        // The loop body written with the public calls: the same draws and
+        // decisions as `simulate`, and every assignment's hop count is the
+        // torus distance from origin to server.
         let net = net(3);
         let mut s = ProximityChoice::two_choice(Some(2));
         let mut rng = SmallRng::seed_from_u64(4);
-        let mut seen = 0u64;
-        let rep = simulate_observed(
-            &net,
-            &mut s,
-            123,
-            UncachedPolicy::ResampleFile,
-            &mut rng,
-            |req, a| {
-                seen += 1;
-                assert!(req.origin < net.n());
-                assert_eq!(a.hops, net.topo().dist(req.origin, a.server));
-            },
-        );
-        assert_eq!(seen, 123);
+        let mut source = IidUniform::new();
+        let mut rep = SimReport::new(net.n());
+        for _ in 0..123 {
+            let req = source.next_request(&net, &mut rng);
+            let a = s.assign(&net, &rep.loads, req, &mut rng);
+            assert!(req.origin < net.n());
+            assert_eq!(a.hops, net.topo().dist(req.origin, a.server));
+            rep.record(a.server, a.hops, a.fallback);
+        }
         assert_eq!(rep.total_requests, 123);
+        let mut s = ProximityChoice::two_choice(Some(2));
+        let mut rng = SmallRng::seed_from_u64(4);
+        let looped = simulate(&net, &mut s, 123, &mut rng);
+        assert_eq!(looped.loads, rep.loads);
+        assert_eq!(looped.comm_cost(), rep.comm_cost());
     }
 
     #[test]
@@ -236,13 +181,8 @@ mod tests {
             .cache_size(1)
             .build(&mut rng);
         let mut s = NearestReplica::new();
-        let rep = simulate_with_policy(
-            &sparse,
-            &mut s,
-            2000,
-            UncachedPolicy::ServeAtOrigin,
-            &mut rng,
-        );
+        let mut source = IidUniform::with_policy(UncachedPolicy::ServeAtOrigin);
+        let rep = simulate_source(&sparse, &mut s, &mut source, 2000, &mut rng);
         assert!(rep.uncached > 0, "this regime must hit uncached files");
         assert!(rep.check_conservation());
     }

@@ -28,8 +28,9 @@
 //!
 //! Every path draws uniformly from the same pool, so the mixture is
 //! exactly the paper's candidate distribution; only the wall-clock
-//! changes. The throughput harness (`paba-bench`, `BENCH_throughput.json`)
-//! holds the speedup to ≥ 5× on the sparse finite-radius regimes.
+//! changes. The distribution tests below check each path against
+//! [`SamplerKind::ExactScan`], the direct scan kept as their reference;
+//! the repository benchmark (`perfbench/`) times the hybrid paths.
 
 use crate::network::CacheNetwork;
 use crate::placement::Placement;
@@ -55,19 +56,9 @@ pub enum SamplerKind {
     Hybrid,
     /// Always materialize the pool per request by scanning whichever of
     /// the replica list / ball enumeration is smaller, then sample by
-    /// index — the pre-sampler behaviour, kept for A/B throughput
-    /// comparisons (`paba throughput` measures both).
+    /// index — the pre-sampler behaviour, kept as the reference the
+    /// sampler distribution tests compare [`SamplerKind::Hybrid`] against.
     ExactScan,
-}
-
-impl SamplerKind {
-    /// Stable label used by the throughput harness and JSON reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SamplerKind::Hybrid => "hybrid",
-            SamplerKind::ExactScan => "exact-scan",
-        }
-    }
 }
 
 /// Outcome of a pool draw.
@@ -317,7 +308,7 @@ impl PoolSampler {
 
     /// The pre-sampler materialization: per-node scan of whichever side
     /// is smaller. Kept verbatim as the [`SamplerKind::ExactScan`]
-    /// baseline the throughput harness compares against.
+    /// reference of the distribution tests.
     fn materialize_scan<T: Topology, Rec: Recorder>(
         &mut self,
         net: &CacheNetwork<T>,

@@ -7,15 +7,16 @@
 //!
 //! The wrapper type is always compiled (it is plain data), but it only
 //! *does* anything when a binary installs it as the global allocator.
-//! The `paba` CLI does so behind its `alloc-track` cargo feature:
+//! The `paba` CLI does so behind its `alloc-track` cargo feature, and
+//! the benchmark (`perfbench/`) always does, for `peak_heap_mb`:
 //!
 //! ```text
-//! cargo run --release -p paba-cli --features alloc-track -- profile …
+//! cargo run --release -p paba-cli --features alloc-track -- simulate --serve-metrics …
 //! ```
 //!
 //! [`snapshot`] returns `None` until the first tracked allocation, which
 //! in practice means "the counting allocator is not installed" — callers
-//! (the profile artifact writer, the `/metrics` page) use that to omit
+//! (the `/metrics` page) use that to omit
 //! allocator stats rather than report zeros.
 
 use std::alloc::{GlobalAlloc, Layout};
@@ -97,16 +98,6 @@ pub struct AllocSnapshot {
     pub peak_bytes: u64,
 }
 
-impl AllocSnapshot {
-    /// Single-line JSON object (the `"alloc"` block of `paba-profile/1`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"allocations\": {}, \"allocated_bytes\": {}, \"live_bytes\": {}, \"peak_bytes\": {}}}",
-            self.allocations, self.allocated_bytes, self.live_bytes, self.peak_bytes
-        )
-    }
-}
-
 /// Current tallies, or `None` when no allocation has been tracked (the
 /// counting allocator is not installed as `#[global_allocator]`).
 pub fn snapshot() -> Option<AllocSnapshot> {
@@ -168,10 +159,5 @@ mod tests {
         assert_eq!(s.live_bytes, 0, "balanced alloc/dealloc");
         assert_eq!(s.peak_bytes, 5120, "peak survives deallocation");
         assert_eq!(peak_bytes(), Some(5120));
-
-        let j = s.to_json();
-        for key in ["allocations", "allocated_bytes", "live_bytes", "peak_bytes"] {
-            assert!(j.contains(&format!("\"{key}\": ")), "{j}");
-        }
     }
 }

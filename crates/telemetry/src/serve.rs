@@ -10,7 +10,8 @@
 //! The server is strictly additive: nothing in the hot path knows it
 //! exists. When `--serve-metrics` is absent no listener is bound, the
 //! [`crate::NullRecorder`] monomorphizations are untouched, and the
-//! `paba profile --check` non-regression gate keeps that claim honest.
+//! benchmark's `requests_per_s` no-regression bound keeps that claim
+//! honest.
 //!
 //! [`render_metrics`] is the shared renderer: one pass over a
 //! [`TelemetrySnapshot`] (sampler-path counters, auxiliary counters,
