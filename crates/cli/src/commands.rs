@@ -5,13 +5,13 @@ use paba_core::{
     simulate_source_profiled, CacheNetwork, LeastLoadedInBall, NearestReplica, PlacementPolicy,
     ProximityChoice, RequestSource, SimReport, StaleLoad, UncachedPolicy,
 };
-use paba_mcrunner::{run_parallel_live, LiveRun};
+use paba_mcrunner::{run_parallel, run_parallel_traced, run_parallel_with_state, LiveRun};
 use paba_popularity::Popularity;
 use paba_repro::churn_experiments::ChurnParams;
 use paba_repro::queueing_experiments::QueueingParams;
 use paba_repro::{NetworkParams, Suite};
 use paba_telemetry::{
-    AtomicRecorder, MetricsServer, NullRecorder, Recorder, Tee, TelemetrySnapshot, TraceReport,
+    MetricsServer, NullRecorder, Recorder, Sampling, TelemetrySnapshot, TraceConfig, TraceReport,
 };
 use paba_topology::Torus;
 use paba_util::envcfg::Scale;
@@ -27,13 +27,12 @@ pub fn print_help() {
 (Pourmiri, Jafari Siavoshani, Shariatpanahi; IPDPS 2017)
 
 USAGE:
-  paba simulate [options]             run the static cache-network model
+  paba simulate [options]             run the static cache-network model,
+                                      optionally traced (see TRACE OPTIONS)
   paba queue [options]                run the continuous-time (supermarket) model
   paba ballsbins [options]            run a classic balls-into-bins process
   paba workload generate [options]    generate a request trace file
   paba workload inspect [options]     summarize a request trace file
-  paba trace [options]                time-resolved tracing: sampled events,
-                                      load time series, Chrome-trace spans
   paba repro [options]                run the theorem-gated reproduction suite
   paba churn [options]                run the churn-robustness suite: seeded
                                       fault injection, repair, degradation gates
@@ -43,8 +42,8 @@ USAGE:
                                       provenance-checked markdown report
   paba help                           show this text
 
-Output paths (--telemetry-out, --trace-out, --events-out, --series-out,
---chrome-out) accept '-' to mean stdout, e.g. for piping into jq.
+Output paths (--telemetry-out, --events-out, --series-out, --chrome-out)
+accept '-' to mean stdout, e.g. for piping into jq.
 
 SIMULATE OPTIONS (defaults in parentheses):
   --side N          torus side, n = side^2 (45)
@@ -59,20 +58,25 @@ SIMULATE OPTIONS (defaults in parentheses):
   --requests Q      requests per run (n; trace length for --workload trace)
   --runs R          Monte-Carlo runs (20)
   --seed S          master seed (20170529)
-  --grid            use the bounded grid instead of the torus
   --csv             emit CSV instead of a table
   --telemetry       record sampler-path/timing telemetry and print the breakdown
   --telemetry-out PATH  also write the merged snapshot as JSON (implies --telemetry)
-  --trace-out PATH  also collect a full per-request trace and write it as
-                    JSONL events ('-' = stdout)
   --serve-metrics ADDR  serve live Prometheus metrics (sampler paths, span
                     timings, progress, allocator stats) at
                     http://ADDR/metrics for the duration of the run;
                     ADDR like 127.0.0.1:9464 (port 0 = ephemeral, the
-                    bound address is printed to stderr). Also accepted
-                    by 'paba trace'
+                    bound address is printed to stderr)
   --workload W      iid | hotspot | zipf-origins | flash-crowd | shifting
                     | trace (iid), plus the workload options below
+ TRACE OPTIONS (any one traces the run; the summary then adds retained
+ and evicted event counts and the mean load evolution across runs):
+  --sample N        keep every N-th request's event (16)
+  --reservoir C     instead: uniform reservoir of C events per run
+  --stride S        load-series sampling stride in requests (64; 0 = off)
+  --max-events E    ring-buffer bound per run for --sample mode (4096)
+  --events-out PATH JSONL event dump ('-' = stdout, 'none' skips; none)
+  --series-out PATH paba-trace-series/1 JSON ('-' = stdout; none)
+  --chrome-out PATH Chrome Trace Format spans for Perfetto ('-'; none)
 
 WORKLOAD OPTIONS (with `paba simulate --workload ...` or `paba workload generate`):
   --hotspots H      number of hotspot centers (4)
@@ -103,15 +107,6 @@ QUEUE OPTIONS (plus the workload options above):
   --horizon T       simulated time (2000)
   --warmup T        measurement warm-up (500)
   --stride S        sample the queue-length series every S arrivals (0 = off)
-
-TRACE OPTIONS (plus the simulate/workload options above):
-  --sample N        keep every N-th request's event (16)
-  --reservoir C     instead: uniform reservoir of C events per run
-  --stride S        load-series sampling stride in requests (64; 0 = off)
-  --max-events E    ring-buffer bound per run for --sample mode (4096)
-  --events-out PATH JSONL event dump ('-' = stdout, 'none' skips; none)
-  --series-out PATH paba-trace-series/1 JSON ('-' = stdout; none)
-  --chrome-out PATH Chrome Trace Format spans for Perfetto ('-'; none)
 
 GATED SUITE OPTIONS (paba repro | churn | queueing):
   --scale S         quick | default | full experiment grids (PABA_SCALE or default)
@@ -173,15 +168,13 @@ const SIM_KEYS: &[&str] = &[
     "requests",
     "runs",
     "seed",
-    "grid",
     "csv",
     "telemetry",
     "telemetry-out",
-    "trace-out",
     "serve-metrics",
 ];
 
-/// Extra option keys accepted by `paba trace` on top of [`SIM_KEYS`].
+/// Trace options of `paba simulate`; any one of them traces the run.
 const TRACE_KEYS: &[&str] = &[
     "sample",
     "reservoir",
@@ -351,8 +344,9 @@ fn shape_or(a: &Args, side: u32, k: u32, m: u32) -> Result<(u32, u32, u32, f64),
 }
 
 /// Everything one Monte-Carlo run of `paba simulate` needs. Shared by the
-/// recorded (`--telemetry`) and unrecorded paths so both run byte-identical
-/// simulations — recording never touches the RNG stream.
+/// three recorder arms so all run byte-identical simulations — recording
+/// never touches the RNG stream.
+#[derive(Debug)]
 struct SimRunCfg {
     side: u32,
     k: u32,
@@ -362,6 +356,7 @@ struct SimRunCfg {
     choices: u32,
     stale: u64,
     seed: u64,
+    runs: usize,
     requests_opt: u64,
     strategy: String,
     placement: String,
@@ -470,15 +465,10 @@ fn spawn_metrics(a: &Args, live: &LiveRun) -> Result<Option<MetricsServer>, Stri
     Ok(Some(server))
 }
 
-/// Parse the simulate-family configuration shared by `paba simulate` and
-/// `paba trace`. Returns the per-run config plus the run count;
-/// `extra_keys` extends the accepted option set.
-fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize), String> {
+/// Parse the `paba simulate` configuration.
+fn sim_cfg_from_args(a: &Args) -> Result<SimRunCfg, String> {
     reject_action(a)?;
-    let mut known = SIM_KEYS.to_vec();
-    known.extend_from_slice(WORKLOAD_KEYS);
-    known.extend_from_slice(extra_keys);
-    a.check_keys(&known)?;
+    a.check_keys(&[SIM_KEYS, WORKLOAD_KEYS, TRACE_KEYS].concat())?;
     let (side, k, m, gamma) = shape_or(a, 45, 500, 10)?;
     let radius = a.radius("radius")?;
     let choices: u32 = a.positive_or("choices", 2, "number of choices")?;
@@ -494,13 +484,6 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
         return Err(format!("--strategy: unknown strategy '{strategy}'"));
     }
     let placement = a.str_or("placement", "proportional");
-    if a.flag("grid") {
-        return Err(
-            "--grid: the CLI currently drives the torus; use the library API \
-                    (CacheNetworkBuilder::build_grid) for grid runs"
-                .into(),
-        );
-    }
 
     let policy = match placement.as_str() {
         "proportional" => PlacementPolicy::ProportionalWithReplacement,
@@ -532,7 +515,7 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
         }
     }
 
-    let cfg = SimRunCfg {
+    Ok(SimRunCfg {
         side,
         k,
         m,
@@ -541,122 +524,96 @@ fn sim_cfg_from_args(a: &Args, extra_keys: &[&str]) -> Result<(SimRunCfg, usize)
         choices,
         stale,
         seed,
+        runs,
         requests_opt,
         strategy,
         placement,
         policy,
         spec,
-    };
-    Ok((cfg, runs))
+    })
 }
 
-/// `paba simulate`.
-#[allow(clippy::type_complexity)]
-pub(crate) fn simulate_cmd_impl(
-    a: &Args,
-) -> Result<
-    (
-        SimStats,
-        usize,
-        Option<TelemetrySnapshot>,
-        Option<TraceReport>,
-    ),
-    String,
-> {
-    let (cfg, runs) = sim_cfg_from_args(a, &[])?;
-    let seed = cfg.seed;
+/// What one `paba simulate` invocation collected: the per-run summaries,
+/// the merged telemetry snapshot (with `--telemetry[-out]`), and the
+/// trace (when a trace option was given).
+#[derive(Debug)]
+pub(crate) struct SimOutcome {
+    cfg: SimRunCfg,
+    stats: SimStats,
+    telemetry: Option<TelemetrySnapshot>,
+    trace: Option<TraceReport>,
+}
+
+/// The trace configuration when any trace option was given, else `None`.
+fn trace_config(a: &Args, seed: u64) -> Result<Option<TraceConfig>, String> {
+    if !TRACE_KEYS.iter().any(|key| a.get(key).is_some()) {
+        return Ok(None);
+    }
+    let sampling = match (a.get("sample"), a.get("reservoir")) {
+        (Some(_), Some(_)) => return Err("--sample and --reservoir are mutually exclusive".into()),
+        (None, Some(_)) => Sampling::Reservoir(a.positive_or("reservoir", 1, "event capacity")?),
+        _ => Sampling::OneIn(a.positive_or("sample", 16, "sampling period")?),
+    };
+    Ok(Some(TraceConfig {
+        sampling,
+        stride: a.parse_or("stride", 64)?,
+        max_events: a.parse_or("max-events", 4096)?,
+        seed,
+    }))
+}
+
+/// `paba simulate`. The recorder is the cheapest one that serves every
+/// requested output: a `TraceRecorder` per worker when a trace option
+/// was given, an `AtomicRecorder` per worker for `--telemetry[-out]` or
+/// `--serve-metrics`, else the `NullRecorder`. Both recording arms
+/// register their workers' recorders in one [`LiveRun`];
+/// `--serve-metrics` only spawns the endpoint over it. Recording never
+/// touches the RNG stream, so every arm prints the same stats.
+pub(crate) fn simulate_cmd_impl(a: &Args) -> Result<SimOutcome, String> {
+    let cfg = sim_cfg_from_args(a)?;
+    let (seed, runs) = (cfg.seed, cfg.runs);
+    let trace_cfg = trace_config(a, seed)?;
     let telemetry = a.flag("telemetry") || a.get("telemetry-out").is_some();
-    let tracing = a.get("trace-out").is_some();
-    let serving = a.get("serve-metrics").is_some();
-    let (reports, snapshot, trace): (
-        Vec<SimReport>,
-        Option<TelemetrySnapshot>,
-        Option<TraceReport>,
-    ) = if tracing {
-        // One traced pass serves both outputs: a TraceRecorder embeds an
-        // AtomicRecorder, so the aggregate snapshot comes for free.
-        let trace_cfg = paba_telemetry::TraceConfig {
-            sampling: paba_telemetry::Sampling::OneIn(1),
-            stride: 0,
-            max_events: 4096,
-            seed,
-        };
-        let live = serving.then(|| LiveRun::new(runs as u64, false));
-        let _server = match &live {
-            Some(l) => spawn_metrics(a, l)?,
-            None => None,
-        };
-        let (reports, report) = match &live {
-            // `/metrics` needs a recorder it can snapshot mid-run, so tee
-            // every worker's TraceRecorder into the shared live one; the
-            // lazy candidates iterator goes to the trace side, which is
-            // the only consumer that needs it.
-            Some(l) => paba_mcrunner::run_parallel_traced(
-                runs,
-                seed,
-                None,
-                Some(l.progress.as_ref()),
-                trace_cfg,
-                |rec, i, rng| sim_run_one(&cfg, i, rng, &Tee(rec, l.recorder.as_ref())),
-            ),
-            None => paba_mcrunner::run_parallel_traced(
-                runs,
-                seed,
-                None,
-                None,
-                trace_cfg,
-                |rec, i, rng| sim_run_one(&cfg, i, rng, &rec),
-            ),
-        };
-        let snap = telemetry.then(|| report.snapshot.clone());
-        (reports, snap, Some(report))
-    } else if serving {
-        // One AtomicRecorder shared by every worker so a concurrent
-        // scrape sees the run as it happens.
-        let live = LiveRun::new(runs as u64, false);
-        let _server = spawn_metrics(a, &live)?;
-        let reports = run_parallel_live(runs, seed, None, &live, |rec, i, rng| {
-            sim_run_one(&cfg, i, rng, &rec)
-        });
-        let snap = telemetry.then(|| live.recorder.snapshot());
-        (reports, snap, None)
-    } else if telemetry {
-        let (reports, recorders) = paba_mcrunner::run_parallel_with_state(
+    let live = LiveRun::new(runs as u64, false);
+    let _server = spawn_metrics(a, &live)?;
+    let (reports, telemetry, trace) = if let Some(trace_cfg) = trace_cfg {
+        let (reports, report) =
+            run_parallel_traced(runs, seed, None, Some(&live), trace_cfg, |rec, i, rng| {
+                sim_run_one(&cfg, i, rng, &rec)
+            });
+        (reports, telemetry.then(|| live.snapshot()), Some(report))
+    } else if telemetry || a.get("serve-metrics").is_some() {
+        let (reports, _) = run_parallel_with_state(
             runs,
             seed,
             None,
-            None,
-            AtomicRecorder::new,
-            |rec, run_idx, rng| sim_run_one(&cfg, run_idx, rng, &rec),
+            Some(live.progress.as_ref()),
+            || live.recorder(),
+            |rec, i, rng| sim_run_one(&cfg, i, rng, &rec.as_ref()),
         );
-        let mut snap = TelemetrySnapshot::empty();
-        for rec in &recorders {
-            snap.merge(&rec.snapshot());
-        }
-        (reports, Some(snap), None)
+        (reports, telemetry.then(|| live.snapshot()), None)
     } else {
-        let reports = paba_mcrunner::run_parallel(runs, seed, None, |run_idx, rng| {
-            sim_run_one(&cfg, run_idx, rng, &NullRecorder)
+        let reports = run_parallel(runs, seed, None, |i, rng| {
+            sim_run_one(&cfg, i, rng, &NullRecorder)
         });
         (reports, None, None)
     };
-    Ok((summarize_reports(&reports), runs, snapshot, trace))
+    Ok(SimOutcome {
+        cfg,
+        stats: summarize_reports(&reports),
+        telemetry,
+        trace,
+    })
 }
 
-/// `paba simulate` with printing.
-pub fn simulate(a: &Args) -> Result<(), String> {
-    let (stats, runs, telemetry, trace) = simulate_cmd_impl(a)?;
-    let telemetry_out = a.str_or("telemetry-out", "none");
-    let trace_out = a.str_or("trace-out", "none");
-    // When an artifact goes to stdout the human summary moves to stderr,
-    // so `paba simulate --trace-out - | jq` sees pure JSON.
-    let piping = telemetry_out == "-" || trace_out == "-";
-
+/// The human summary of a `paba simulate` run: the stats table, then
+/// (unless `--csv`) the telemetry breakdown and the trace summary.
+fn simulate_summary(a: &Args, out: &SimOutcome) -> String {
     let mut t = Table::new(["metric", "mean", "ci95", "min", "max"]);
     for (name, s) in [
-        ("max load L", &stats.max_load),
-        ("comm cost C (hops)", &stats.cost),
-        ("fallback fraction", &stats.fallback),
+        ("max load L", &out.stats.max_load),
+        ("comm cost C (hops)", &out.stats.cost),
+        ("fallback fraction", &out.stats.fallback),
     ] {
         t.push_row([
             name.to_string(),
@@ -666,179 +623,83 @@ pub fn simulate(a: &Args) -> Result<(), String> {
             format!("{:.4}", s.max),
         ]);
     }
-    let mut text = String::new();
     if a.flag("csv") {
-        text.push_str(&t.to_csv());
-    } else {
-        text.push_str(&format!("{runs} runs:\n"));
-        text.push_str(&t.to_markdown());
+        return t.to_csv();
     }
-    if let Some(snap) = &telemetry {
-        if !a.flag("csv") {
-            text.push('\n');
-            text.push_str(&snap.table());
-        }
+    let mut text = format!("{} runs:\n{}", out.cfg.runs, t.to_markdown());
+    if let Some(snap) = &out.telemetry {
+        text.push('\n');
+        text.push_str(&snap.table());
     }
-    if piping {
-        eprint!("{text}");
-    } else {
-        print!("{text}");
-    }
-
-    if let Some(snap) = &telemetry {
-        if telemetry_out != "none" {
-            let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-            let provenance = Provenance::capture(
-                schema::TELEMETRY,
-                seed,
-                "custom",
-                &format!("simulate telemetry runs:{runs}"),
-            );
-            let json = format!(
-                "{{\n  \"schema\": \"{}\",\n  \"provenance\": {},\n  \"requests\": {},\n  \
-                 \"telemetry\": {}\n}}\n",
-                schema::TELEMETRY,
-                provenance.to_json(),
-                snap.total_requests(),
-                snap.to_json()
-            );
-            write_output(&telemetry_out, &json, "telemetry snapshot")?;
-        }
-    }
-    if let Some(report) = &trace {
-        if trace_out != "none" {
-            write_output(&trace_out, &report.events_jsonl(), "trace events")?;
-        }
-    }
-    Ok(())
-}
-
-/// `paba trace` — time-resolved tracing over the simulate configuration:
-/// sampled per-request events, a load-evolution time series, and
-/// Chrome-trace stage spans, all collected deterministically through
-/// [`paba_mcrunner::run_parallel_traced`].
-pub fn trace(a: &Args) -> Result<(), String> {
-    let (cfg, runs) = sim_cfg_from_args(a, TRACE_KEYS)?;
-    let sampling = match (a.get("sample"), a.get("reservoir")) {
-        (Some(_), Some(_)) => return Err("--sample and --reservoir are mutually exclusive".into()),
-        (Some(n), None) => {
-            let n: u64 = n
-                .parse()
-                .map_err(|_| format!("--sample: bad count '{n}'"))?;
-            if n == 0 {
-                return Err("--sample must be at least 1".into());
-            }
-            paba_telemetry::Sampling::OneIn(n)
-        }
-        (None, Some(c)) => {
-            let c: usize = c
-                .parse()
-                .map_err(|_| format!("--reservoir: bad capacity '{c}'"))?;
-            if c == 0 {
-                return Err("--reservoir must be at least 1".into());
-            }
-            paba_telemetry::Sampling::Reservoir(c)
-        }
-        (None, None) => paba_telemetry::Sampling::OneIn(16),
-    };
-    let trace_cfg = paba_telemetry::TraceConfig {
-        sampling,
-        stride: a.parse_or("stride", 64u64)?,
-        max_events: a.parse_or("max-events", 4096usize)?,
-        seed: cfg.seed,
-    };
-    let stride = trace_cfg.stride;
-    let live = a
-        .get("serve-metrics")
-        .is_some()
-        .then(|| LiveRun::new(runs as u64, false));
-    let _server = match &live {
-        Some(l) => spawn_metrics(a, l)?,
-        None => None,
-    };
-    let (reports, report) = match &live {
-        // Tee each worker's TraceRecorder into the shared live recorder
-        // so mid-run scrapes see the aggregate counters.
-        Some(l) => paba_mcrunner::run_parallel_traced(
-            runs,
-            cfg.seed,
-            None,
-            Some(l.progress.as_ref()),
-            trace_cfg,
-            |rec, i, rng| sim_run_one(&cfg, i, rng, &Tee(rec, l.recorder.as_ref())),
-        ),
-        None => paba_mcrunner::run_parallel_traced(
-            runs,
-            cfg.seed,
-            None,
-            None,
-            trace_cfg,
-            |rec, i, rng| sim_run_one(&cfg, i, rng, &rec),
-        ),
-    };
-
-    let events_out = a.str_or("events-out", "none");
-    let series_out = a.str_or("series-out", "none");
-    let chrome_out = a.str_or("chrome-out", "none");
-    // When any artifact goes to stdout the human summary moves to
-    // stderr, so `paba trace ... --events-out - | jq` sees pure JSON.
-    let piping = [&events_out, &series_out, &chrome_out]
-        .iter()
-        .any(|p| p.as_str() == "-");
-
-    let stats = summarize_reports(&reports);
-    let mean = report.mean_series();
-    let mut t = Table::new(["requests", "max load", "mean load", "gap to mean", "p99"]);
-    for p in &mean.points {
-        t.push_row([
-            format!("{}", p.requests),
-            format!("{:.3}", p.max_load),
-            format!("{:.3}", p.mean_load),
-            format!("{:.3}", p.gap_to_mean),
-            format!("{:.3}", p.p99),
-        ]);
-    }
-    let mut text = String::new();
-    use std::fmt::Write as _;
-    if a.flag("csv") {
-        text.push_str(&t.to_csv());
-    } else {
-        writeln!(
-            text,
-            "{runs} runs, {} requests: max load {:.3} ± {:.3}",
-            report.total_requests(),
-            stats.max_load.mean,
-            1.96 * stats.max_load.std_err
-        )
-        .unwrap();
+    if let Some(report) = &out.trace {
         let events: usize = report.runs.iter().map(|r| r.events.len()).sum();
         let dropped: u64 = report.runs.iter().map(|r| r.dropped()).sum();
-        writeln!(
-            text,
-            "retained {events} sampled events ({dropped} evicted by buffer bounds), \
-             {} series points/run",
+        let mean = report.mean_series();
+        text.push_str(&format!(
+            "\ntraced {} requests: retained {events} sampled events \
+             ({dropped} evicted by buffer bounds), {} series points/run\n",
+            report.total_requests(),
             mean.points.len()
-        )
-        .unwrap();
+        ));
         if !mean.points.is_empty() {
+            let mut t = Table::new(["requests", "max load", "mean load", "gap to mean", "p99"]);
+            for p in &mean.points {
+                t.push_row([
+                    format!("{}", p.requests),
+                    format!("{:.3}", p.max_load),
+                    format!("{:.3}", p.mean_load),
+                    format!("{:.3}", p.gap_to_mean),
+                    format!("{:.3}", p.p99),
+                ]);
+            }
             text.push_str("\nmean load evolution across runs:\n");
             text.push_str(&t.to_markdown());
         }
-        if a.flag("telemetry") {
-            text.push('\n');
-            text.push_str(&report.snapshot.table());
-        }
     }
-    if piping {
+    text
+}
+
+/// `paba simulate` with printing and the requested output files.
+pub fn simulate(a: &Args) -> Result<(), String> {
+    let out = simulate_cmd_impl(a)?;
+    let outputs = ["telemetry-out", "events-out", "series-out", "chrome-out"];
+    // When an artifact goes to stdout the human summary moves to stderr,
+    // so `paba simulate --events-out - | jq` sees pure JSON.
+    let text = simulate_summary(a, &out);
+    if outputs.iter().any(|key| a.get(key) == Some("-")) {
         eprint!("{text}");
     } else {
         print!("{text}");
     }
 
-    if events_out != "none" {
-        write_output(&events_out, &report.events_jsonl(), "trace events")?;
+    // The path an output goes to, unless absent or 'none'.
+    let target = |key: &str| a.get(key).filter(|path| *path != "none");
+    let (cfg, runs) = (&out.cfg, out.cfg.runs);
+    if let (Some(snap), Some(path)) = (&out.telemetry, target("telemetry-out")) {
+        let provenance = Provenance::capture(
+            schema::TELEMETRY,
+            cfg.seed,
+            "custom",
+            &format!("simulate telemetry runs:{runs}"),
+        );
+        let json = format!(
+            "{{\n  \"schema\": \"{}\",\n  \"provenance\": {},\n  \"requests\": {},\n  \
+             \"telemetry\": {}\n}}\n",
+            schema::TELEMETRY,
+            provenance.to_json(),
+            snap.total_requests(),
+            snap.to_json()
+        );
+        write_output(path, &json, "telemetry snapshot")?;
     }
-    if series_out != "none" {
+    let Some(report) = &out.trace else {
+        return Ok(());
+    };
+    if let Some(path) = target("events-out") {
+        write_output(path, &report.events_jsonl(), "trace events")?;
+    }
+    if let Some(path) = target("series-out") {
+        let stride: u64 = a.parse_or("stride", 64)?;
         let provenance = Provenance::capture(
             schema::TRACE_SERIES,
             cfg.seed,
@@ -848,14 +709,10 @@ pub fn trace(a: &Args) -> Result<(), String> {
                 cfg.side, cfg.k, cfg.m
             ),
         );
-        write_output(
-            &series_out,
-            &report.series_json(&provenance),
-            "load time series",
-        )?;
+        write_output(path, &report.series_json(&provenance), "load time series")?;
     }
-    if chrome_out != "none" {
-        write_output(&chrome_out, &report.chrome_json(), "Chrome trace")?;
+    if let Some(path) = target("chrome-out") {
+        write_output(path, &report.chrome_json(), "Chrome trace")?;
     }
     Ok(())
 }
@@ -997,7 +854,7 @@ pub fn ballsbins(a: &Args) -> Result<(), String> {
         return Err(format!("--process: unknown process '{process}'"));
     }
 
-    let maxes: Vec<f64> = paba_mcrunner::run_parallel(runs, seed, None, |_i, rng| {
+    let maxes: Vec<f64> = run_parallel(runs, seed, None, |_i, rng| {
         let res = match process.as_str() {
             "one" => paba_ballsbins::one_choice(n, m, rng),
             "two" => paba_ballsbins::two_choice(n, m, rng),
@@ -1192,10 +1049,10 @@ pub fn gated_suite(a: &Args, name: &str) -> Result<(), String> {
         None
     };
 
-    // `--serve-metrics`: every worker shares one recorder, so a scrape
-    // mid-suite sees the run as it happens — churn events, dead-replica
-    // retries, and repair migrations for churn; progress only for
-    // queueing, whose engine records no counters.
+    // `--serve-metrics`: every worker registers its own recorder, so a
+    // scrape mid-suite sees the run as it happens — churn events,
+    // dead-replica retries, and repair migrations for churn; progress
+    // only for queueing, whose engine records no counters.
     let live = a
         .get("serve-metrics")
         .and(suite.planned_runs(&cfg))
@@ -1208,7 +1065,7 @@ pub fn gated_suite(a: &Args, name: &str) -> Result<(), String> {
     let artifact = suite.run(&cfg, live.as_ref());
     print_table(a, &paba_repro::gates_table(&artifact));
     if let (Some(l), Suite::Churn(_)) = (&live, suite) {
-        eprint!("{}", l.recorder.snapshot().table());
+        eprint!("{}", l.snapshot().table());
     }
     if out != "none" {
         artifact.write(std::path::Path::new(&out))?;
@@ -1385,11 +1242,12 @@ mod tests {
     #[test]
     fn simulate_small_run_works() {
         let a = args("simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3");
-        let (stats, runs, telemetry, _) = simulate_cmd_impl(&a).unwrap();
-        assert_eq!(runs, 3);
-        assert!(telemetry.is_none(), "no --telemetry, no snapshot");
-        assert!(stats.max_load.mean >= 1.0);
-        assert!(stats.cost.mean >= 0.0);
+        let out = simulate_cmd_impl(&a).unwrap();
+        assert_eq!(out.cfg.runs, 3);
+        assert!(out.telemetry.is_none(), "no --telemetry, no snapshot");
+        assert!(out.trace.is_none(), "no trace option, no trace");
+        assert!(out.stats.max_load.mean >= 1.0);
+        assert!(out.stats.cost.mean >= 0.0);
     }
 
     #[test]
@@ -1398,7 +1256,7 @@ mod tests {
             let a = args(&format!(
                 "simulate --side 6 --files 10 --cache 2 --runs 2 --strategy {strat}"
             ));
-            let (stats, _, _, _) = simulate_cmd_impl(&a).unwrap();
+            let stats = simulate_cmd_impl(&a).unwrap().stats;
             assert!(stats.max_load.mean >= 1.0, "{strat}");
         }
     }
@@ -1406,14 +1264,21 @@ mod tests {
     #[test]
     fn simulate_dht_placement() {
         let a = args("simulate --side 8 --files 30 --cache 3 --runs 2 --placement dht");
-        let (stats, _, _, _) = simulate_cmd_impl(&a).unwrap();
+        let stats = simulate_cmd_impl(&a).unwrap().stats;
         assert!(stats.max_load.mean >= 1.0);
     }
 
     #[test]
     fn simulate_rejects_unknown_options() {
-        let a = args("simulate --sid 8");
-        assert!(simulate_cmd_impl(&a).unwrap_err().contains("sid"));
+        for (argv, key) in [
+            ("simulate --sid 8", "sid"),
+            ("simulate --grid", "grid"),
+            ("simulate --trace-out t.jsonl", "trace-out"),
+        ] {
+            let err = simulate_cmd_impl(&args(argv)).unwrap_err();
+            assert!(err.starts_with("unknown option"), "{argv}: {err}");
+            assert!(err.contains(key), "{argv}: {err}");
+        }
     }
 
     #[test]
@@ -1476,7 +1341,7 @@ mod tests {
             let a = args(&format!(
                 "simulate --side 6 --files 12 --cache 2 --runs 2 --workload {w}"
             ));
-            let (stats, _, _, _) = simulate_cmd_impl(&a).unwrap();
+            let stats = simulate_cmd_impl(&a).unwrap().stats;
             assert!(stats.max_load.mean >= 1.0, "{w}");
         }
     }
@@ -1511,7 +1376,7 @@ mod tests {
         let s = args(&format!(
             "simulate --side 6 --files 12 --cache 2 --runs 2 --workload trace --trace {path_s}"
         ));
-        let (stats, _, _, _) = simulate_cmd_impl(&s).unwrap();
+        let stats = simulate_cmd_impl(&s).unwrap().stats;
         assert!(stats.max_load.mean >= 1.0);
         // Replayed workloads are identical across runs and strategies: the
         // request stream is frozen, only assignment randomness differs.
@@ -1529,16 +1394,18 @@ mod tests {
     fn simulate_telemetry_accounts_for_every_request() {
         // side 8 → n = 64 requests per run, 3 runs.
         let a = args("simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3 --telemetry");
-        let (_, _, telemetry, _) = simulate_cmd_impl(&a).unwrap();
-        let snap = telemetry.expect("--telemetry yields a snapshot");
+        let out = simulate_cmd_impl(&a).unwrap();
+        let snap = out.telemetry.expect("--telemetry yields a snapshot");
         assert_eq!(snap.total_requests(), 3 * 64);
     }
 
     #[test]
     fn simulate_telemetry_does_not_change_results() {
         let base = "simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3";
-        let (plain, _, _, _) = simulate_cmd_impl(&args(base)).unwrap();
-        let (recorded, _, _, _) = simulate_cmd_impl(&args(&format!("{base} --telemetry"))).unwrap();
+        let plain = simulate_cmd_impl(&args(base)).unwrap().stats;
+        let recorded = simulate_cmd_impl(&args(&format!("{base} --telemetry")))
+            .unwrap()
+            .stats;
         assert_eq!(plain.max_load.mean, recorded.max_load.mean);
         assert_eq!(plain.cost.mean, recorded.cost.mean);
         assert_eq!(plain.fallback.mean, recorded.fallback.mean);
@@ -1873,7 +1740,7 @@ mod tests {
         type Cmd = fn(&Args) -> Result<(), String>;
         let commands: [(&str, Cmd); 5] = [
             ("simulate --runs 1", simulate),
-            ("trace --runs 1", trace),
+            ("simulate --runs 1 --sample 4", simulate),
             ("queue --horizon 10 --warmup 1", queue),
             ("churn --quick --runs 1 --out none", churn),
             ("queueing --quick --runs 1 --out none", queueing),
@@ -1914,10 +1781,14 @@ mod tests {
                 "simulate --strategy d-choice --choices 0",
                 "--choices",
             ),
-            (trace, "trace --strategy d-choice --choices 0", "--choices"),
+            (
+                simulate,
+                "simulate --sample 4 --strategy d-choice --choices 0",
+                "--choices",
+            ),
             (queue, "queue --strategy d-choice --choices 0", "--choices"),
             (simulate, "simulate --runs 0", RUNS),
-            (trace, "trace --runs 0", RUNS),
+            (simulate, "simulate --sample 4 --runs 0", RUNS),
             (ballsbins, "ballsbins --runs 0", RUNS),
             (ballsbins, "ballsbins --bins 0", "--bins"),
             (ballsbins, "ballsbins --process d --d 0", "--d"),
@@ -1958,21 +1829,26 @@ mod tests {
             .contains("bogus"));
     }
 
+    /// Parse one output file with the workspace's JSON reader.
+    fn parse_file(path: &std::path::Path) -> paba_repro::json::Json {
+        paba_repro::json::parse(&std::fs::read_to_string(path).unwrap())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
     #[test]
     fn trace_writes_parseable_outputs() {
-        let dir = std::env::temp_dir().join(format!("paba_cli_trace_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("trace_outputs");
         let events = dir.join("events.jsonl");
         let series = dir.join("series.json");
         let chrome = dir.join("chrome.json");
         let a = args(&format!(
-            "trace --side 6 --files 12 --cache 2 --runs 2 --sample 4 --stride 16 --csv \
+            "simulate --side 6 --files 12 --cache 2 --runs 2 --sample 4 --stride 16 --csv \
              --events-out {} --series-out {} --chrome-out {}",
             events.display(),
             series.display(),
             chrome.display()
         ));
-        trace(&a).unwrap();
+        simulate(&a).unwrap();
         // Every JSONL line is a standalone JSON object.
         let jsonl = std::fs::read_to_string(&events).unwrap();
         assert!(!jsonl.is_empty());
@@ -1982,7 +1858,7 @@ mod tests {
             assert!(ev.get("server").is_some(), "{line}");
         }
         // The series artifact carries its schema plus per-run and mean series.
-        let doc = paba_repro::json::parse(&std::fs::read_to_string(&series).unwrap()).unwrap();
+        let doc = parse_file(&series);
         assert_eq!(
             doc.get("schema").and_then(paba_repro::json::Json::as_str),
             Some("paba-trace-series/1")
@@ -1994,7 +1870,7 @@ mod tests {
         assert_eq!(runs.len(), 2);
         assert!(doc.get("mean").is_some());
         // The Chrome trace is a trace_event document with complete events.
-        let ct = paba_repro::json::parse(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
+        let ct = parse_file(&chrome);
         let evs = ct
             .get("traceEvents")
             .and_then(paba_repro::json::Json::as_arr)
@@ -2006,39 +1882,87 @@ mod tests {
                 Some("X")
             );
         }
-        for f in [&events, &series, &chrome] {
-            std::fs::remove_file(f).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn simulate_writes_every_requested_output() {
+        // Telemetry and all three trace outputs from one run: each file
+        // must exist and parse, and none may be dropped silently.
+        let dir = scratch("all_outputs");
+        let [t, e, s, c] = [
+            "telemetry.json",
+            "events.jsonl",
+            "series.json",
+            "chrome.json",
+        ]
+        .map(|f| dir.join(f));
+        // side 6: 36 requests per run; every 4th sampled gives 9 per run,
+        // of which a 4-event ring keeps the last 4 and evicts 5.
+        let a = args(&format!(
+            "simulate --side 6 --files 12 --cache 2 --runs 2 --sample 4 --max-events 4 \
+             --telemetry-out {} --events-out {} --series-out {} --chrome-out {}",
+            t.display(),
+            e.display(),
+            s.display(),
+            c.display()
+        ));
+        simulate(&a).unwrap();
+        let telemetry = parse_file(&t);
+        assert_eq!(
+            telemetry
+                .get("schema")
+                .and_then(paba_repro::json::Json::as_str),
+            Some("paba-telemetry/1")
+        );
+        assert_eq!(
+            telemetry
+                .get("requests")
+                .and_then(paba_repro::json::Json::as_f64),
+            Some(72.0)
+        );
+        let jsonl = std::fs::read_to_string(&e).unwrap();
+        assert_eq!(jsonl.lines().count(), 2 * 4);
+        for line in jsonl.lines() {
+            paba_repro::json::parse(line).expect("event line parses");
         }
+        parse_file(&s);
+        parse_file(&c);
+        // The summary reports what the buffers kept and what they evicted.
+        let summary = simulate_summary(&a, &simulate_cmd_impl(&a).unwrap());
+        assert!(
+            summary.contains("retained 8 sampled events (10 evicted by buffer bounds)"),
+            "{summary}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn trace_rejects_conflicting_and_unknown_options() {
-        let a = args("trace --side 6 --files 12 --sample 4 --reservoir 8");
-        assert!(trace(&a).unwrap_err().contains("mutually exclusive"));
-        let a = args("trace --side 6 --files 12 --smaple 4");
-        assert!(trace(&a).unwrap_err().contains("smaple"));
-        let a = args("trace --side 6 --files 12 --sample 0");
-        assert!(trace(&a).unwrap_err().contains("--sample"));
+        let a = args("simulate --side 6 --files 12 --sample 4 --reservoir 8");
+        assert!(simulate(&a).unwrap_err().contains("mutually exclusive"));
+        let a = args("simulate --side 6 --files 12 --smaple 4");
+        assert!(simulate(&a).unwrap_err().contains("smaple"));
+        let a = args("simulate --side 6 --files 12 --sample 0");
+        assert!(simulate(&a).unwrap_err().contains("--sample"));
     }
 
     #[test]
     fn simulate_trace_out_writes_jsonl() {
-        let dir =
-            std::env::temp_dir().join(format!("paba_cli_sim_trace_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("sim_trace");
         let path = dir.join("trace.jsonl");
         let a = args(&format!(
-            "simulate --side 6 --files 12 --cache 2 --runs 2 --csv --trace-out {}",
+            "simulate --side 6 --files 12 --cache 2 --runs 2 --csv --sample 1 --events-out {}",
             path.display()
         ));
         simulate(&a).unwrap();
         let jsonl = std::fs::read_to_string(&path).unwrap();
-        // --trace-out samples every request: side 6 → 36 requests × 2 runs.
+        // --sample 1 keeps every request: side 6 → 36 requests × 2 runs.
         assert_eq!(jsonl.lines().count(), 2 * 36);
         for line in jsonl.lines() {
             paba_repro::json::parse(line).expect("event line parses");
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2047,9 +1971,10 @@ mod tests {
         // HTTP behaviour is covered in paba-telemetry, here we check the
         // live path wires up and does not change the simulation.
         let base = "simulate --side 8 --files 20 --cache 3 --runs 3 --radius 3";
-        let (plain, _, _, _) = simulate_cmd_impl(&args(base)).unwrap();
-        let (live, _, _, _) =
-            simulate_cmd_impl(&args(&format!("{base} --serve-metrics 127.0.0.1:0"))).unwrap();
+        let plain = simulate_cmd_impl(&args(base)).unwrap().stats;
+        let live = simulate_cmd_impl(&args(&format!("{base} --serve-metrics 127.0.0.1:0")))
+            .unwrap()
+            .stats;
         assert_eq!(plain.max_load.mean, live.max_load.mean);
         assert_eq!(plain.cost.mean, live.cost.mean);
     }
@@ -2057,10 +1982,12 @@ mod tests {
     #[test]
     fn trace_serve_metrics_still_traces() {
         let a = args(
-            "trace --side 6 --files 12 --cache 2 --runs 2 --sample 4 --csv \
+            "simulate --side 6 --files 12 --cache 2 --runs 2 --sample 4 --csv \
              --serve-metrics 127.0.0.1:0",
         );
-        trace(&a).unwrap();
+        simulate(&a).unwrap();
+        let trace = simulate_cmd_impl(&a).unwrap().trace.expect("traced");
+        assert_eq!(trace.total_requests(), 2 * 36);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod runner;
 pub mod sweep;
 pub mod traced;
 
-pub use live::{run_parallel_live, LiveRun};
+pub use live::LiveRun;
 pub use progress::Progress;
 pub use runner::{run_parallel, run_parallel_with_state, summarize};
 pub use sweep::{sweep, sweep_summaries, PointSummary, SweepOutcome};

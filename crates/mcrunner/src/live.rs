@@ -1,48 +1,74 @@
 //! Live observability handle for in-flight parallel runs.
 //!
-//! The per-thread recorder pattern of [`run_parallel_with_state`] is
-//! ideal for post-join merging but invisible mid-run: each worker's
-//! recorder is private until it joins. [`LiveRun`] inverts that for the
-//! `--serve-metrics` path: every strided worker shares **one**
-//! [`AtomicRecorder`] (its counters are relaxed atomics, so concurrent
-//! recording is lossless and [`AtomicRecorder::snapshot`] is safe while
-//! writers are still running) plus one [`Progress`] tracker, and the
-//! scrape thread renders both into a Prometheus page on demand.
+//! The per-worker recorders of [`crate::run_parallel_with_state`] are
+//! private to their threads until the join. [`LiveRun`] makes them
+//! visible mid-run without sharing one between workers: it is a
+//! registry of each worker's [`AtomicRecorder`]. A worker registers its
+//! recorder in its `init` (see [`LiveRun::recorder`], or
+//! [`LiveRun::register`] for the aggregate a `TraceRecorder` embeds) and
+//! then records into it alone, as it would without a live handle. A
+//! scrape merges the registered snapshots with
+//! [`TelemetrySnapshot::merge`]; the recorders' counters are relaxed
+//! atomics, so reading them while their writers run is safe.
 //!
-//! Sharing one recorder instead of per-thread instances trades a little
-//! cache-line contention for mid-run visibility — acceptable for an
-//! explicitly opted-in observability mode, and irrelevant to the
-//! `NullRecorder` fast path, which never constructs a `LiveRun`.
+//! The handle also carries one [`Progress`] tracker, ticked once per
+//! completed run, and renders both into a Prometheus page on demand.
+//! The `NullRecorder` fast path never registers anything.
 
-use std::sync::Arc;
-
-use rand::rngs::SmallRng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use paba_telemetry::serve::{render_metrics, ProgressView};
-use paba_telemetry::{alloc, AtomicRecorder};
+use paba_telemetry::{alloc, AtomicRecorder, TelemetrySnapshot};
 
 use crate::progress::Progress;
-use crate::runner::run_parallel_with_state;
 
-/// Shared state of one live-observable run: a recorder every worker
-/// feeds and a progress tracker. Cheap to clone (two `Arc`s) so the
+/// Shared state of one live-observable run: the registered per-worker
+/// recorders and a progress tracker. Cheap to clone (two `Arc`s) so the
 /// scrape thread's render closure can own a handle.
 #[derive(Clone, Debug)]
 pub struct LiveRun {
-    /// The recorder all strided workers share.
-    pub recorder: Arc<AtomicRecorder>,
+    recorders: Arc<Mutex<Vec<Arc<AtomicRecorder>>>>,
     /// Completed-run tracker (also drives the stderr progress lines).
     pub progress: Arc<Progress>,
 }
 
 impl LiveRun {
-    /// Fresh handle for `total` work units; `verbose` enables the usual
-    /// stderr progress lines alongside the scrape endpoint.
+    /// Fresh handle for `total` work units with no recorders registered;
+    /// `verbose` enables the usual stderr progress lines alongside the
+    /// scrape endpoint.
     pub fn new(total: u64, verbose: bool) -> Self {
         Self {
-            recorder: Arc::new(AtomicRecorder::new()),
+            recorders: Arc::new(Mutex::new(Vec::new())),
             progress: Arc::new(Progress::new(total, verbose)),
         }
+    }
+
+    /// Add `rec` to the registry, so snapshots include it from now on,
+    /// and hand it back.
+    pub fn register(&self, rec: Arc<AtomicRecorder>) -> Arc<AtomicRecorder> {
+        self.recorders
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Arc::clone(&rec));
+        rec
+    }
+
+    /// A fresh registered recorder: the `init` of one worker.
+    pub fn recorder(&self) -> Arc<AtomicRecorder> {
+        self.register(Arc::new(AtomicRecorder::new()))
+    }
+
+    /// Merged snapshot of every registered recorder.
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        let recorders = self
+            .recorders
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut snap = TelemetrySnapshot::empty();
+        for rec in recorders.iter() {
+            snap.merge(&rec.snapshot());
+        }
+        snap
     }
 
     /// Plain-data progress view for the metrics renderer.
@@ -56,53 +82,52 @@ impl LiveRun {
         }
     }
 
-    /// Render the full Prometheus page: live recorder snapshot, progress,
-    /// and allocator stats when the counting allocator is installed.
+    /// Render the full Prometheus page: merged recorder snapshot,
+    /// progress, and allocator stats when the counting allocator is
+    /// installed.
     pub fn render_metrics(&self) -> String {
         render_metrics(
-            &self.recorder.snapshot(),
+            &self.snapshot(),
             Some(&self.progress_view()),
             alloc::snapshot().as_ref(),
         )
     }
 }
 
-/// [`run_parallel_with_state`] over a shared live recorder: every worker
-/// records into `live.recorder` and ticks `live.progress`; outputs come
-/// back in run-index order with the usual `(master_seed, run_index)`
-/// determinism.
-pub fn run_parallel_live<O, F>(
-    runs: usize,
-    master_seed: u64,
-    threads: Option<usize>,
-    live: &LiveRun,
-    run_fn: F,
-) -> Vec<O>
-where
-    O: Send,
-    F: Fn(&AtomicRecorder, usize, &mut SmallRng) -> O + Sync,
-{
-    let (outputs, _states) = run_parallel_with_state(
-        runs,
-        master_seed,
-        threads,
-        Some(live.progress.as_ref()),
-        || Arc::clone(&live.recorder),
-        |rec, i, rng| run_fn(rec, i, rng),
-    );
-    outputs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_parallel_with_state;
     use paba_telemetry::{Recorder, SamplerPath, Stage};
+    use rand::rngs::SmallRng;
     use rand::Rng;
 
+    /// [`run_parallel_with_state`] with one registered recorder per
+    /// worker and progress ticked on `live`.
+    fn run_live<O: Send>(
+        runs: usize,
+        seed: u64,
+        threads: usize,
+        live: &LiveRun,
+        f: impl Fn(&AtomicRecorder, usize, &mut SmallRng) -> O + Sync,
+    ) -> Vec<O> {
+        run_parallel_with_state(
+            runs,
+            seed,
+            Some(threads),
+            Some(live.progress.as_ref()),
+            || live.recorder(),
+            |rec, i, rng| f(rec, i, rng),
+        )
+        .0
+    }
+
+    /// The workers share one registry, each through its own recorder;
+    /// the merged snapshot counts every event exactly once.
     #[test]
     fn workers_share_one_recorder_and_tick_progress() {
         let live = LiveRun::new(40, false);
-        let out = run_parallel_live(40, 11, Some(4), &live, |rec, i, rng| {
+        let out = run_live(40, 11, 4, &live, |rec, i, rng| {
             for _ in 0..10 {
                 rec.path(SamplerPath::Windowed);
             }
@@ -111,7 +136,8 @@ mod tests {
         });
         assert_eq!(out, (0..40).collect::<Vec<_>>());
         assert_eq!(live.progress.completed(), 40);
-        let snap = live.recorder.snapshot();
+        assert_eq!(live.recorders.lock().unwrap().len(), 4, "one per worker");
+        let snap = live.snapshot();
         assert_eq!(snap.path_count(SamplerPath::Windowed), 400);
         assert_eq!(snap.span(Stage::AssignLoop).count, 40);
     }
@@ -120,9 +146,7 @@ mod tests {
     fn outputs_deterministic_across_thread_counts() {
         let run = |threads: usize| {
             let live = LiveRun::new(30, false);
-            run_parallel_live(30, 77, Some(threads), &live, |_rec, _i, rng| {
-                rng.gen::<u64>()
-            })
+            run_live(30, 77, threads, &live, |_rec, _i, rng| rng.gen::<u64>())
         };
         let t1 = run(1);
         assert_eq!(t1, run(3));
@@ -145,7 +169,7 @@ mod tests {
                     pages
                 })
             };
-            let _ = run_parallel_live(16, 5, Some(4), &live, |rec, i, _rng| {
+            let _ = run_live(16, 5, 4, &live, |rec, i, _rng| {
                 for _ in 0..500 {
                     rec.path(SamplerPath::RejectionBall);
                 }

@@ -1,7 +1,7 @@
 //! Trace collection over the parallel Monte-Carlo runner.
 //!
 //! [`run_parallel_traced`] is the deterministic collection path behind
-//! `paba trace`: each worker thread owns one
+//! the trace outputs of `paba simulate`: each worker thread owns one
 //! [`TraceRecorder`] (built on [`run_parallel_with_state`]), every run
 //! calls [`TraceRecorder::begin_run`] with its *run index* before
 //! executing, and the per-thread states are merged with
@@ -11,7 +11,9 @@
 //! event streams and time series are bit-identical across thread counts.
 //!
 //! All recorders share one epoch `Instant`, so their wall-clock span
-//! events land on a common Chrome-trace timeline.
+//! events land on a common Chrome-trace timeline. With a [`LiveRun`],
+//! each worker registers its recorder's embedded aggregate, so a scrape
+//! sees the counters mid-run.
 
 use std::time::Instant;
 
@@ -19,7 +21,7 @@ use rand::rngs::SmallRng;
 
 use paba_telemetry::{TraceConfig, TraceRecorder, TraceReport};
 
-use crate::progress::Progress;
+use crate::live::LiveRun;
 use crate::runner::run_parallel_with_state;
 
 /// Run `runs` traced Monte-Carlo runs; returns the per-run outputs (in
@@ -28,12 +30,13 @@ use crate::runner::run_parallel_with_state;
 ///
 /// `run_fn(rec, run_index, rng)` executes one run; it should pass `rec`
 /// to the instrumented strategy/simulation. `begin_run` is called for it
-/// — the closure must not call it again.
+/// — the closure must not call it again. `live`, when given, is ticked
+/// once per run and holds every worker's aggregate recorder.
 pub fn run_parallel_traced<O, F>(
     runs: usize,
     master_seed: u64,
     threads: Option<usize>,
-    progress: Option<&Progress>,
+    live: Option<&LiveRun>,
     cfg: TraceConfig,
     run_fn: F,
 ) -> (Vec<O>, TraceReport)
@@ -47,8 +50,14 @@ where
         runs,
         master_seed,
         threads,
-        progress,
-        move || TraceRecorder::with_epoch(cfg.clone(), epoch),
+        live.map(|l| l.progress.as_ref()),
+        move || {
+            let rec = TraceRecorder::with_epoch(cfg.clone(), epoch);
+            if let Some(l) = live {
+                l.register(rec.aggregate());
+            }
+            rec
+        },
         |rec, i, rng| {
             rec.begin_run(i as u64);
             run_fn(rec, i, rng)

@@ -22,7 +22,7 @@ use crate::experiments::Z_NONINF;
 use crate::{NetworkParams, ReproConfig};
 use paba_churn::{simulate_churn, ChurnCfg, ChurnSchedule, RepairPolicy, ScheduleSpec};
 use paba_core::{simulate_source, CacheNetwork, IidUniform, ProximityChoice, UncachedPolicy};
-use paba_mcrunner::{run_parallel, run_parallel_live, summarize, LiveRun};
+use paba_mcrunner::{run_parallel, run_parallel_with_state, summarize, LiveRun};
 use paba_popularity::Popularity;
 use paba_telemetry::{NullRecorder, Recorder};
 use paba_theory::mean_gap_z;
@@ -261,10 +261,10 @@ pub fn validate(scale: Scale, params: &ChurnParams) -> Result<(), String> {
 
 /// The churn experiment: metrics + the five robustness gates. `params`
 /// overrides the scale-default regime; `live` (the `--serve-metrics`
-/// path) shares one recorder across every worker so a concurrent scrape
-/// sees churn events, retries, and repair migrations as they happen —
-/// the recorder never touches the RNG stream, so results are identical
-/// with or without it.
+/// path) holds one registered recorder per worker, so a concurrent
+/// scrape sees churn events, retries, and repair migrations as they
+/// happen — the recorders never touch the RNG stream, so results are
+/// identical with or without them.
 pub fn churn_with(
     cfg: &ReproConfig,
     params: &ChurnParams,
@@ -276,9 +276,17 @@ pub fn churn_with(
     let runs = planned_runs(cfg);
     let master = mix_seed(cfg.seed, 0xC4234);
     let rows: Vec<[f64; N_METRICS]> = match live {
-        Some(l) => run_parallel_live(runs, master, cfg.threads, l, |rec, _i, rng| {
-            run_one(&regime, rng, rec)
-        }),
+        Some(l) => {
+            run_parallel_with_state(
+                runs,
+                master,
+                cfg.threads,
+                Some(l.progress.as_ref()),
+                || l.recorder(),
+                |rec, _i, rng| run_one(&regime, rng, rec.as_ref()),
+            )
+            .0
+        }
         None => run_parallel(runs, master, cfg.threads, |_i, rng: &mut SmallRng| {
             run_one(&regime, rng, &NullRecorder)
         }),

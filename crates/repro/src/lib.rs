@@ -320,8 +320,9 @@ mod tests {
 
     #[test]
     fn churn_suite_live_recorder_is_transparent() {
-        // A shared live recorder must not perturb the artifact (it never
-        // touches the RNG stream), and the churn counters must flow.
+        // Live per-worker recorders must not perturb the artifact (they
+        // never touch the RNG stream), and the churn counters must flow
+        // into the registry's merged snapshot.
         let mut cfg = ReproConfig::new(Scale::Quick);
         cfg.runs_override = Some(3);
         let plain = churn(&cfg);
@@ -334,7 +335,7 @@ mod tests {
             assert_eq!(a.passed, b.passed);
             assert_eq!(a.statistic.to_bits(), b.statistic.to_bits());
         }
-        let snap = live.recorder.snapshot();
+        let snap = live.snapshot();
         assert!(snap.counter(paba_telemetry::Counter::ChurnEvent) > 0);
         assert!(snap.counter(paba_telemetry::Counter::DeadReplicaRetry) > 0);
     }

@@ -46,7 +46,7 @@ pub struct QueueSimConfig {
     pub tail_cap: usize,
     /// Sample the queue-length vector into [`QueueReport::series`] every
     /// `stride` arrivals (0 = off). Uses the same stride semantics as
-    /// `paba trace --stride`.
+    /// `paba simulate --stride`.
     pub stride: u64,
 }
 

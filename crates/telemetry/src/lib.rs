@@ -39,8 +39,9 @@
 //! And the *live* layer added for operational visibility:
 //!
 //! * [`serve`] — a std-only Prometheus text-exposition endpoint
-//!   (`/metrics`, `/healthz`) rendering a shared [`AtomicRecorder`]
-//!   snapshot plus runner progress while a run is still in flight.
+//!   (`/metrics`, `/healthz`) rendering the merged snapshot of the
+//!   workers' [`AtomicRecorder`]s plus runner progress while a run is
+//!   still in flight.
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper surfacing
 //!   allocation count / bytes / peak on the metrics page (installed by
 //!   the CLI behind its `alloc-track` feature, and by the benchmark).
@@ -56,7 +57,7 @@ pub mod trace;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use events::{Counter, SamplerPath, Stage};
-pub use recorder::{AtomicRecorder, NullRecorder, Recorder, SpanTimer, Tee, POOL_SIZE_BUCKETS};
+pub use recorder::{AtomicRecorder, NullRecorder, Recorder, SpanTimer, POOL_SIZE_BUCKETS};
 pub use serve::{MetricsServer, ProgressView};
 pub use snapshot::{SpanSummary, TelemetrySnapshot};
 pub use timeseries::{LoadSeries, SeriesPoint};

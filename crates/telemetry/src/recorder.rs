@@ -140,66 +140,6 @@ impl Recorder for NullRecorder {
     fn loads(&self, _request_index: u64, _loads: &[u32]) {}
 }
 
-/// Fan one event stream out to two recorders.
-///
-/// Built for serving live metrics during traced runs: the strategy holds
-/// a `Tee(&TraceRecorder, &AtomicRecorder)` so the per-thread trace
-/// collection and the shared live scrape recorder both see every event.
-///
-/// The lazy `candidates` iterator of [`Recorder::request`] can only be
-/// consumed once, so it is forwarded to the *first* recorder; the second
-/// receives an empty iterator (the aggregate recorders ignore it anyway).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Tee<A, B>(pub A, pub B);
-
-impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    #[inline(always)]
-    fn path(&self, path: SamplerPath) {
-        self.0.path(path);
-        self.1.path(path);
-    }
-
-    #[inline(always)]
-    fn count(&self, counter: Counter, delta: u64) {
-        self.0.count(counter, delta);
-        self.1.count(counter, delta);
-    }
-
-    #[inline(always)]
-    fn pool_size(&self, size: usize) {
-        self.0.pool_size(size);
-        self.1.pool_size(size);
-    }
-
-    #[inline(always)]
-    fn span_ns(&self, stage: Stage, nanos: u64) {
-        self.0.span_ns(stage, nanos);
-        self.1.span_ns(stage, nanos);
-    }
-
-    #[inline(always)]
-    fn request(
-        &self,
-        file: u64,
-        origin: u64,
-        server: u64,
-        hops: u32,
-        candidates: &mut dyn Iterator<Item = (u64, u32)>,
-    ) {
-        self.0.request(file, origin, server, hops, candidates);
-        self.1
-            .request(file, origin, server, hops, &mut std::iter::empty());
-    }
-
-    #[inline(always)]
-    fn loads(&self, request_index: u64, loads: &[u32]) {
-        self.0.loads(request_index, loads);
-        self.1.loads(request_index, loads);
-    }
-}
-
 /// Candidate-pool sizes are bucketed exactly up to this bound; anything
 /// larger lands in the final overflow bucket. Pools in the paper's regimes
 /// are `O(m/n · ball)` — tens, not hundreds — so 512 exact buckets cover
@@ -427,27 +367,6 @@ mod tests {
         assert_eq!(snap.paths[SamplerPath::RejectionReplica as usize], 4000);
         assert_eq!(snap.pool_sizes.total(), 4000);
         assert_eq!(snap.counters[Counter::CachesBitmap as usize], 8000);
-    }
-
-    #[test]
-    fn tee_forwards_to_both_recorders() {
-        const { assert!(!Tee::<NullRecorder, NullRecorder>::ENABLED) };
-        const { assert!(Tee::<NullRecorder, &AtomicRecorder>::ENABLED) };
-
-        let a = AtomicRecorder::new();
-        let b = AtomicRecorder::new();
-        let tee = Tee(&a, &b);
-        tee.path(SamplerPath::Windowed);
-        tee.count(Counter::RowBandExpansion, 2);
-        tee.pool_size(3);
-        tee.span_ns(Stage::AssignLoop, 500);
-        for rec in [&a, &b] {
-            let snap = rec.snapshot();
-            assert_eq!(snap.path_count(SamplerPath::Windowed), 1);
-            assert_eq!(snap.counter(Counter::RowBandExpansion), 2);
-            assert_eq!(snap.pool_sizes.total(), 1);
-            assert_eq!(snap.span(Stage::AssignLoop).count, 1);
-        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! observable *while they run*, not only from the artifact written at the
 //! end. [`MetricsServer`] binds a `std::net::TcpListener` on a scrape
 //! thread and answers `GET /metrics` by calling a render closure the
-//! caller composes (typically from a shared [`crate::AtomicRecorder`]
-//! snapshot plus runner progress); `GET /healthz` answers `ok`.
+//! caller composes (typically `paba_mcrunner::LiveRun::render_metrics`:
+//! the merged snapshot of every worker's [`crate::AtomicRecorder`] plus
+//! runner progress); `GET /healthz` answers `ok`.
 //!
 //! The server is strictly additive: nothing in the hot path knows it
 //! exists. When `--serve-metrics` is absent no listener is bound, the

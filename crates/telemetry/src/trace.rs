@@ -4,7 +4,9 @@
 //! sampler path fires; a trace answers *when* and *for which request*.
 //! `TraceRecorder` implements [`Recorder`] so any instrumented strategy
 //! can feed it unchanged, and layers three collections on top of an
-//! embedded `AtomicRecorder` (so aggregate snapshots stay available):
+//! embedded `AtomicRecorder`, whose counters stay exact and which a
+//! live `/metrics` scrape reads mid-run through
+//! [`TraceRecorder::aggregate`]:
 //!
 //! * sampled [`TraceEvent`]s — 1-in-N or reservoir sampling into a
 //!   bounded per-run buffer;
@@ -26,13 +28,13 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
 
 use paba_util::{split_seed, SplitMix64};
 
 use crate::events::{Counter, SamplerPath, Stage};
 use crate::recorder::{AtomicRecorder, Recorder};
-use crate::snapshot::TelemetrySnapshot;
 use crate::timeseries::LoadSeries;
 
 /// Which requests get a [`TraceEvent`].
@@ -156,7 +158,7 @@ struct TraceInner {
 /// A [`Recorder`] that captures traces (see module docs).
 #[derive(Debug)]
 pub struct TraceRecorder {
-    aggregate: AtomicRecorder,
+    aggregate: Arc<AtomicRecorder>,
     cfg: TraceConfig,
     epoch: Instant,
     inner: RefCell<TraceInner>,
@@ -164,15 +166,17 @@ pub struct TraceRecorder {
 
 impl TraceRecorder {
     /// Fresh recorder with its epoch at "now".
+    #[inline]
     pub fn new(cfg: TraceConfig) -> Self {
         Self::with_epoch(cfg, Instant::now())
     }
 
     /// Fresh recorder with an explicit epoch — recorders that share an
     /// epoch produce span timestamps on a common Chrome-trace timeline.
+    #[inline]
     pub fn with_epoch(cfg: TraceConfig, epoch: Instant) -> Self {
         Self {
-            aggregate: AtomicRecorder::new(),
+            aggregate: Arc::new(AtomicRecorder::new()),
             cfg,
             epoch,
             inner: RefCell::new(TraceInner {
@@ -195,21 +199,23 @@ impl TraceRecorder {
         inner.active = Some(self.fresh_run(run));
     }
 
-    /// Aggregate counter snapshot (composes with `--telemetry` output).
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.aggregate.snapshot()
+    /// The embedded aggregate recorder, source of the `--telemetry`
+    /// counters. Unlike the recorder itself it is `Sync`, so another
+    /// thread may snapshot it while this one records.
+    #[inline]
+    pub fn aggregate(&self) -> Arc<AtomicRecorder> {
+        Arc::clone(&self.aggregate)
     }
 
-    /// Finalize and extract: per-run traces (in `begin_run` order), span
-    /// events, and the aggregate snapshot.
-    pub fn into_parts(self) -> (Vec<RunTrace>, Vec<SpanEvent>, TelemetrySnapshot) {
-        let snapshot = self.aggregate.snapshot();
+    /// Finalize and extract: per-run traces (in `begin_run` order) and
+    /// span events.
+    pub fn into_parts(self) -> (Vec<RunTrace>, Vec<SpanEvent>) {
         let inner = self.inner.into_inner();
         let mut runs = inner.finished;
         if let Some(act) = inner.active {
             runs.push(Self::finalize(act, self.cfg.sampling));
         }
-        (runs, inner.spans, snapshot)
+        (runs, inner.spans)
     }
 
     fn fresh_run(&self, run: u64) -> ActiveRun {
@@ -358,8 +364,6 @@ pub struct TraceReport {
     /// Stage spans, sorted by start time (wall clock — *not* expected to
     /// be stable across thread counts).
     pub spans: Vec<SpanEvent>,
-    /// Merged aggregate counters.
-    pub snapshot: TelemetrySnapshot,
 }
 
 impl TraceReport {
@@ -369,20 +373,14 @@ impl TraceReport {
     pub fn collect(states: Vec<TraceRecorder>) -> Self {
         let mut runs = Vec::new();
         let mut spans = Vec::new();
-        let mut snapshot = TelemetrySnapshot::empty();
         for state in states {
-            let (r, s, snap) = state.into_parts();
+            let (r, s) = state.into_parts();
             runs.extend(r);
             spans.extend(s);
-            snapshot.merge(&snap);
         }
         runs.sort_by_key(|r| r.run);
         spans.sort_by_key(|s| (s.ts_ns, s.dur_ns, s.stage as usize));
-        Self {
-            runs,
-            spans,
-            snapshot,
-        }
+        Self { runs, spans }
     }
 
     /// All retained events, in (run, request) order.
@@ -435,7 +433,8 @@ mod tests {
             seed: 9,
         });
         feed(&rec, 0, 10);
-        let (runs, _, snap) = rec.into_parts();
+        let snap = rec.aggregate().snapshot();
+        let (runs, _) = rec.into_parts();
         assert_eq!(runs.len(), 1);
         let r = &runs[0];
         assert_eq!(r.requests, 10);
@@ -459,7 +458,7 @@ mod tests {
             seed: 0,
         });
         feed(&rec, 0, 10);
-        let (runs, _, _) = rec.into_parts();
+        let (runs, _) = rec.into_parts();
         let picked: Vec<u64> = runs[0].events.iter().map(|e| e.request).collect();
         assert_eq!(picked, vec![7, 8, 9]);
         assert_eq!(runs[0].sampled, 10);
@@ -476,7 +475,7 @@ mod tests {
         };
         let rec = TraceRecorder::new(cfg.clone());
         feed(&rec, 3, 100);
-        let (runs, _, _) = rec.into_parts();
+        let (runs, _) = rec.into_parts();
         let r = &runs[0];
         assert_eq!(r.events.len(), 5);
         assert_eq!(r.sampled, 100);
@@ -488,11 +487,11 @@ mod tests {
         // Same run index ⇒ identical sample; different run ⇒ independent.
         let rec2 = TraceRecorder::new(cfg.clone());
         feed(&rec2, 3, 100);
-        let (runs2, _, _) = rec2.into_parts();
+        let (runs2, _) = rec2.into_parts();
         assert_eq!(runs[0].events, runs2[0].events);
         let rec3 = TraceRecorder::new(cfg);
         feed(&rec3, 4, 100);
-        let (runs3, _, _) = rec3.into_parts();
+        let (runs3, _) = rec3.into_parts();
         let picked3: Vec<u64> = runs3[0].events.iter().map(|e| e.request).collect();
         assert_ne!(picked, picked3);
     }
@@ -507,7 +506,7 @@ mod tests {
         });
         feed(&rec, 0, 10);
         rec.span_ns(Stage::AssignLoop, 1_000);
-        let (runs, spans, _) = rec.into_parts();
+        let (runs, spans) = rec.into_parts();
         let pts = &runs[0].series.points;
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].requests, 5);
@@ -551,7 +550,7 @@ mod tests {
             r.loads(0, &[1]);
         }
         site(&by_ref);
-        let (runs, _, _) = rec.into_parts();
+        let (runs, _) = rec.into_parts();
         assert_eq!(runs[0].events.len(), 1);
         assert_eq!(runs[0].events[0].server, 3);
     }

@@ -11,7 +11,7 @@
 /// `paba repro` theorem-gate artifact (`BENCH_repro.json`).
 pub const REPRO: &str = "paba-repro/1";
 
-/// `paba trace` per-run load-evolution series.
+/// `paba simulate --series-out` per-run load-evolution series.
 pub const TRACE_SERIES: &str = "paba-trace-series/1";
 
 /// `paba simulate --telemetry` snapshot dump.
