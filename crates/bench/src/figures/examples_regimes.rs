@@ -12,20 +12,17 @@
 //! * Kenthapadi–Panigrahi baseline on circulant graphs of varying degree.
 //! * Remark 1: torus vs bounded grid, same parameters.
 
-use paba_bench::{emit, header, NetPoint, StrategyKind};
+use super::*;
 use paba_core::{simulate, CacheNetwork, PlacementPolicy, ProximityChoice};
 use paba_theory::{kp_max_load_bound, one_choice_max_load, two_choice_max_load};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
 use rand::SeedableRng;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(8, 100, 1_000);
-    header(
+    out.header(
         "Examples 1-4, classic baselines, and the Remark-1 ablation",
         "Section IV examples + [5]/[10] reference processes",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -55,7 +52,7 @@ fn main() {
         e4.policy = PlacementPolicy::FullLibrary;
         points.push((e4, StrategyKind::two_choice(Some(1))));
     }
-    let res = paba_bench::sweep_points(&points, runs, cfg.seed);
+    let res = sweep_points(cfg, &points, runs, cfg.seed);
 
     let mut table = Table::new([
         "n",
@@ -78,30 +75,23 @@ fn main() {
             format!("{:.2}", one_choice_max_load(n)),
         ]);
     }
-    emit("examples_1_to_4", &table);
-    println!(
+    out.table("examples_1_to_4", table);
+    out.note(
         "Check: Ex1/Ex3 track the lnln n column (power of two choices); Ex2/Ex4 \
-         track the ln n/lnln n column (correlation destroys it).\n"
+         track the ln n/lnln n column (correlation destroys it).\n",
     );
 
     // ------------------------------------------------------------------
     // Classic balls-into-bins baselines at m = n.
     // ------------------------------------------------------------------
-    let bb_points: Vec<(u32, ())> = sides.iter().map(|&s| (s * s, ())).collect();
-    let bb = paba_mcrunner::sweep(
-        &bb_points,
-        runs,
-        cfg.seed ^ 0x1111,
-        None,
-        true,
-        |(n, ()), _r, rng| {
-            let one = paba_ballsbins::one_choice(*n, *n as u64, rng).max_load() as f64;
-            let two = paba_ballsbins::two_choice(*n, *n as u64, rng).max_load() as f64;
-            let three = paba_ballsbins::d_choice(*n, *n as u64, 3, rng).max_load() as f64;
-            let beta = paba_ballsbins::one_plus_beta(*n, *n as u64, 0.5, rng).max_load() as f64;
-            (one, two, three, beta)
-        },
-    );
+    let bb_points: Vec<u32> = sides.iter().map(|&s| s * s).collect();
+    let bb = super::sweep(cfg, &bb_points, runs, cfg.seed ^ 0x1111, |&n, _r, rng| {
+        let one = paba_ballsbins::one_choice(n, n as u64, rng).max_load() as f64;
+        let two = paba_ballsbins::two_choice(n, n as u64, rng).max_load() as f64;
+        let three = paba_ballsbins::d_choice(n, n as u64, 3, rng).max_load() as f64;
+        let beta = paba_ballsbins::one_plus_beta(n, n as u64, 0.5, rng).max_load() as f64;
+        (one, two, three, beta)
+    });
     let mut t2 = Table::new([
         "n",
         "one-choice",
@@ -123,7 +113,7 @@ fn main() {
             format!("{:.2}", bb[i].summarize(|o| o.3).mean),
         ]);
     }
-    emit("baselines_ballsbins", &t2);
+    out.table("baselines_ballsbins", t2);
 
     // ------------------------------------------------------------------
     // Kenthapadi–Panigrahi on circulant graphs: density sweep at fixed n.
@@ -131,21 +121,13 @@ fn main() {
     let n_kp = 4096u32;
     let degrees = [2u32, 8, 32, 128, 512];
     // Circulant graphs are deterministic: build each once, share across runs.
-    let graphs: Vec<(u32, paba_topology::CsrGraph)> = degrees
+    let graphs: Vec<paba_topology::CsrGraph> = degrees
         .iter()
-        .map(|&d| (d, paba_topology::circulant_graph(n_kp, d / 2)))
+        .map(|&d| paba_topology::circulant_graph(n_kp, d / 2))
         .collect();
-    let kp_points: Vec<(usize, ())> = (0..degrees.len()).map(|i| (i, ())).collect();
-    let kp = paba_mcrunner::sweep(
-        &kp_points,
-        runs,
-        cfg.seed ^ 0x2222,
-        None,
-        true,
-        |(i, ()), _r, rng| {
-            paba_ballsbins::graph_two_choice(&graphs[*i].1, n_kp as u64, rng).max_load() as f64
-        },
-    );
+    let kp = super::sweep(cfg, &graphs, runs, cfg.seed ^ 0x2222, |g, _r, rng| {
+        paba_ballsbins::graph_two_choice(g, n_kp as u64, rng).max_load() as f64
+    });
     let mut t3 = Table::new(["degree", "max load", "KP bound (Thm 5)"]);
     for (i, &d) in degrees.iter().enumerate() {
         let bound = kp_max_load_bound(n_kp as f64, d as f64);
@@ -159,51 +141,41 @@ fn main() {
             },
         ]);
     }
-    emit("baselines_kp_density", &t3);
-    println!(
+    out.table("baselines_kp_density", t3);
+    out.note(
         "KP check: the max load falls as the graph densifies, vanishing into the \
-         Theta(log log n) regime once Delta >> log^4 n (Theorem 5).\n"
+         Theta(log log n) regime once Delta >> log^4 n (Theorem 5).\n",
     );
 
     // ------------------------------------------------------------------
     // Remark 1: torus vs bounded grid.
     // ------------------------------------------------------------------
-    let grid_points: Vec<(u32, ())> = sides.iter().map(|&s| (s, ())).collect();
-    let remark1 = paba_mcrunner::sweep(
-        &grid_points,
-        runs,
-        cfg.seed ^ 0x3333,
-        None,
-        true,
-        |(s, ()), _r, rng| {
-            let k = 100u32;
-            let m = 4u32;
-            let torus_net = CacheNetwork::builder()
-                .torus_side(*s)
-                .library(k, paba_popularity::Popularity::Uniform)
-                .cache_size(m)
-                .build(rng);
-            let mut strat = ProximityChoice::two_choice(Some(5));
-            let tr = simulate(&torus_net, &mut strat, torus_net.n() as u64, rng);
-            let mut g_rng = rand::rngs::SmallRng::seed_from_u64(paba_util::mix_seed(
-                cfg.seed ^ 0x3334,
-                *s as u64,
-            ));
-            let grid_net = CacheNetwork::builder()
-                .torus_side(*s)
-                .library(k, paba_popularity::Popularity::Uniform)
-                .cache_size(m)
-                .build_grid(&mut g_rng);
-            let mut strat = ProximityChoice::two_choice(Some(5));
-            let gr = simulate(&grid_net, &mut strat, grid_net.n() as u64, &mut g_rng);
-            (
-                tr.max_load() as f64,
-                tr.comm_cost(),
-                gr.max_load() as f64,
-                gr.comm_cost(),
-            )
-        },
-    );
+    let remark1 = super::sweep(cfg, &sides, runs, cfg.seed ^ 0x3333, |&s, _r, rng| {
+        let k = 100u32;
+        let m = 4u32;
+        let torus_net = CacheNetwork::builder()
+            .torus_side(s)
+            .library(k, paba_popularity::Popularity::Uniform)
+            .cache_size(m)
+            .build(rng);
+        let mut strat = ProximityChoice::two_choice(Some(5));
+        let tr = simulate(&torus_net, &mut strat, torus_net.n() as u64, rng);
+        let mut g_rng =
+            rand::rngs::SmallRng::seed_from_u64(paba_util::mix_seed(cfg.seed ^ 0x3334, s as u64));
+        let grid_net = CacheNetwork::builder()
+            .torus_side(s)
+            .library(k, paba_popularity::Popularity::Uniform)
+            .cache_size(m)
+            .build_grid(&mut g_rng);
+        let mut strat = ProximityChoice::two_choice(Some(5));
+        let gr = simulate(&grid_net, &mut strat, grid_net.n() as u64, &mut g_rng);
+        (
+            tr.max_load() as f64,
+            tr.comm_cost(),
+            gr.max_load() as f64,
+            gr.comm_cost(),
+        )
+    });
     let mut t4 = Table::new(["n", "torus L", "grid L", "torus C", "grid C"]);
     for (i, &s) in sides.iter().enumerate() {
         t4.push_row([
@@ -214,9 +186,9 @@ fn main() {
             format!("{:.2}", remark1[i].summarize(|o| o.3).mean),
         ]);
     }
-    emit("remark1_grid_vs_torus", &t4);
-    println!(
+    out.table("remark1_grid_vs_torus", t4);
+    out.note(
         "Remark 1 check: torus and bounded grid agree to within boundary effects \
-         (grid slightly worse balance near corners)."
+         (grid slightly worse balance near corners).",
     );
 }

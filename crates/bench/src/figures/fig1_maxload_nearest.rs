@@ -6,17 +6,14 @@
 //! Expected shape: slow logarithmic growth in `n` (Theorem 1), with larger
 //! caches giving a flatter, lower curve (more uniform Voronoi cells).
 
-use paba_bench::{emit, header, pm, NetPoint, StrategyKind};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
+use super::*;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(20, 400, 10_000);
-    header(
+    out.header(
         "Figure 1: max load vs n, Strategy I (nearest replica)",
         "Fig. 1 (K=100, Uniform, M in {1,2,10,100})",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -36,7 +33,7 @@ fn main() {
                 .map(move |&s| (NetPoint::uniform(s, k, m), StrategyKind::Nearest))
         })
         .collect();
-    let results = paba_bench::sweep_points(&points, runs, cfg.seed);
+    let results = sweep_points(cfg, &points, runs, cfg.seed);
 
     let mut table = Table::new(["n", "M=1", "M=2", "M=10", "M=100"]);
     for (si, &side) in sides.iter().enumerate() {
@@ -48,10 +45,10 @@ fn main() {
             .collect();
         table.push_row(row);
     }
-    emit("fig1_maxload_nearest", &table);
+    out.table("fig1_maxload_nearest", table);
 
-    println!(
+    out.note(
         "Paper check: each column grows ~ log n (Theorem 1); larger M lowers the curve \
-         (paper's Fig. 1 spans ~4.3 at n=100 to ~7.5 at n=3025 for M=1)."
+         (paper's Fig. 1 spans ~4.3 at n=100 to ~7.5 at n=3025 for M=1).",
     );
 }

@@ -5,17 +5,14 @@
 //! `K ∈ {100, 1000, 2000}`, `M ∈ [1, 100]`, 10000 runs per point.
 //! Expected shape: `C = Θ(√(K/M))` — decreasing in `M`, increasing in `K`.
 
-use paba_bench::{emit, header, pm, NetPoint, StrategyKind};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
+use super::*;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(10, 200, 10_000);
-    header(
+    out.header(
         "Figure 2: communication cost vs cache size, Strategy I",
         "Fig. 2 (n=2025, Uniform, K in {100,1000,2000})",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -35,7 +32,7 @@ fn main() {
                 .map(move |&m| (NetPoint::uniform(side, k, m), StrategyKind::Nearest))
         })
         .collect();
-    let results = paba_bench::sweep_points(&points, runs, cfg.seed);
+    let results = sweep_points(cfg, &points, runs, cfg.seed);
 
     let mut table = Table::new([
         "M",
@@ -58,10 +55,10 @@ fn main() {
         }
         table.push_row(row);
     }
-    emit("fig2_cost_nearest", &table);
+    out.table("fig2_cost_nearest", table);
 
-    println!(
+    out.note(
         "Paper check: C tracks Θ(√(K/M)) (Theorem 3); the exact series columns use \
-         eq. (14) with unit constant. Paper's Fig. 2 peaks ~23 hops at K=2000, M=1."
+         eq. (14) with unit constant. Paper's Fig. 2 peaks ~23 hops at K=2000, M=1.",
     );
 }

@@ -10,17 +10,14 @@
 //! every file enough replicas for the power of two choices to kick in.
 //! For `M ≥ 10` the curve is flat-low everywhere.
 
-use paba_bench::{emit, header, pm, NetPoint, StrategyKind};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
+use super::*;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(5, 60, 800);
-    header(
+    out.header(
         "Figure 3: max load vs n, Strategy II (r = inf)",
         "Fig. 3 (K=2000, Uniform, M in {1,2,10,100})",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -40,7 +37,7 @@ fn main() {
                 .map(move |&s| (NetPoint::uniform(s, k, m), StrategyKind::two_choice(None)))
         })
         .collect();
-    let results = paba_bench::sweep_points(&points, runs, cfg.seed);
+    let results = sweep_points(cfg, &points, runs, cfg.seed);
 
     let mut table = Table::new(["n", "M=1", "M=2", "M=10", "M=100"]);
     for (si, &side) in sides.iter().enumerate() {
@@ -52,11 +49,11 @@ fn main() {
             .collect();
         table.push_row(row);
     }
-    emit("fig3_maxload_twochoice", &table);
+    out.table("fig3_maxload_twochoice", table);
 
-    println!(
+    out.note(
         "Paper check: M=1 rises toward n ≈ 10^4 (correlated choices, max ~10 in the \
          paper) then drops once n > 5*10^4 (enough replication); M=10/100 stay ~3-4 \
-         throughout. Transition region 10^4 < n < 5*10^4 shows mixed behaviour."
+         throughout. Transition region 10^4 < n < 5*10^4 shows mixed behaviour.",
     );
 }

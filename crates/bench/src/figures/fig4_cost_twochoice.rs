@@ -6,17 +6,14 @@
 //! the mean torus pair distance `Θ(√n)` — the motivation for the radius-
 //! `r` constraint studied in Figure 5.
 
-use paba_bench::{emit, header, pm, NetPoint, StrategyKind};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
+use super::*;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(5, 40, 800);
-    header(
+    out.header(
         "Figure 4: communication cost vs n, Strategy II (r = inf)",
         "Fig. 4 (K=2000, Uniform, M in {1,2,10,100})",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -36,7 +33,7 @@ fn main() {
                 .map(move |&s| (NetPoint::uniform(s, k, m), StrategyKind::two_choice(None)))
         })
         .collect();
-    let results = paba_bench::sweep_points(&points, runs, cfg.seed);
+    let results = sweep_points(cfg, &points, runs, cfg.seed);
 
     let mut table = Table::new(["n", "M=1", "M=2", "M=10", "M=100", "mean pair dist"]);
     for (si, &side) in sides.iter().enumerate() {
@@ -53,7 +50,7 @@ fn main() {
             .collect();
         table.push_row(row);
     }
-    emit("fig4_cost_twochoice", &table);
+    out.table("fig4_cost_twochoice", table);
 
     // Fit the growth exponent of cost vs n for M=10 (mid curve).
     let pts: Vec<(f64, f64)> = sides
@@ -65,14 +62,13 @@ fn main() {
         })
         .collect();
     if let Some(fit) = paba_util::fit_loglog(&pts) {
-        println!(
-            "Fitted cost ~ n^{:.3} (expected 0.5 = Θ(√n); R² = {:.4}).",
+        out.note(format!(
+            "Fitted cost ~ n^{:.3} (expected 0.5 = Θ(√n); R² = {:.4}).\n",
             fit.slope, fit.r_squared
-        );
-        println!();
+        ));
     }
-    println!(
+    out.note(
         "Paper check: all four curves track the Θ(√n) mean pair distance and nearly \
-         coincide (cache size barely matters once a pair of replicas exists)."
+         coincide (cache size barely matters once a pair of replicas exists).",
     );
 }

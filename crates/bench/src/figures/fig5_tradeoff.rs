@@ -10,17 +10,14 @@
 //! amount of communication buys balance (Example 2's correlation); in
 //! between, a genuine trade-off curve appears.
 
-use paba_bench::{emit, header, NetPoint, StrategyKind};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
+use super::*;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(10, 150, 5_000);
-    header(
+    out.header(
         "Figure 5: max load vs communication cost trade-off, Strategy II",
         "Fig. 5 (n=2025, K=500, Uniform, M in {1,2,5,10,20,50,200}, r swept)",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -66,7 +63,7 @@ fn main() {
                 .map(move |&r| (NetPoint::uniform(side, k, m), StrategyKind::two_choice(r)))
         })
         .collect();
-    let results = paba_bench::sweep_points(&points, runs, cfg.seed);
+    let results = sweep_points(cfg, &points, runs, cfg.seed);
 
     // One table per cache size: rows are radii, columns (cost, max load) —
     // the (x, y) pairs of the paper's scatter curves.
@@ -82,14 +79,13 @@ fn main() {
                 format!("{:.4}", s.fallback.mean),
             ]);
         }
-        println!("### M = {m}");
-        println!();
-        emit(&format!("fig5_tradeoff_m{m}"), &table);
+        out.note(format!("### M = {m}\n"));
+        out.table(format!("fig5_tradeoff_m{m}"), table);
     }
 
-    println!(
+    out.note(
         "Paper check: M=200/50 reach max load ~3.6 by cost ~2-4 hops; M=1 stays ~8 \
          regardless of cost; intermediate M trace a visible trade-off curve \
-         (paper's Fig. 5 x-range 0-20 hops, y-range 3.5-9)."
+         (paper's Fig. 5 x-range 0-20 hops, y-range 3.5-9).",
     );
 }

@@ -9,18 +9,15 @@
 //! size and max cell radius over all files, and normalize by the lemma's
 //! envelopes.
 
-use paba_bench::{emit, header, NetPoint};
+use super::*;
 use paba_core::VoronoiComputer;
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(5, 60, 500);
-    header(
+    out.header(
         "Lemma 1: max Voronoi cell size = Theta(K log n / M)",
         "Lemma 1 (K=n^0.5, M in {1,4}, Uniform)",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -31,18 +28,18 @@ fn main() {
     );
     let cache_sizes = [1u32, 4];
 
-    let mut grid: Vec<(NetPoint, ())> = Vec::new();
+    let mut grid: Vec<NetPoint> = Vec::new();
     for &m in &cache_sizes {
         for &s in &sides {
             let n = s * s;
             let k = (n as f64).sqrt().round() as u32;
-            grid.push((NetPoint::uniform(s, k, m), ()));
+            grid.push(NetPoint::uniform(s, k, m));
         }
     }
 
     // Per run: build a placement, compute the tessellation of every cached
     // file, record the largest cell and largest cell radius seen.
-    let outcomes = paba_mcrunner::sweep(&grid, runs, cfg.seed, None, true, |(p, ()), _run, rng| {
+    let outcomes = super::sweep(cfg, &grid, runs, cfg.seed, |p, _run, rng| {
         let net = p.build(rng);
         let mut vc = VoronoiComputer::new(net.n());
         let mut max_cell = 0u32;
@@ -75,7 +72,7 @@ fn main() {
     for (mi, &m) in cache_sizes.iter().enumerate() {
         for (si, &s) in sides.iter().enumerate() {
             let idx = mi * sides.len() + si;
-            let p = &grid[idx].0;
+            let p = &grid[idx];
             let n = (s * s) as f64;
             let envelope = p.k as f64 * n.ln() / m as f64;
             let cell = outcomes[idx].summarize(|o| o.0);
@@ -92,11 +89,11 @@ fn main() {
             ]);
         }
     }
-    emit("lemma1_voronoi", &table);
+    out.table("lemma1_voronoi", table);
 
-    println!(
+    out.note(
         "Lemma 1 check: 'cell / envelope' stays bounded (O(K log n/M) upper bound) \
          and bounded away from 0 at M=Θ(1) (the matching lower bound); the max \
-         radius tracks sqrt(K ln n / M)."
+         radius tracks sqrt(K ln n / M).",
     );
 }

@@ -6,19 +6,16 @@
 //! pairs) across `n` and `α`, and report the fraction of runs that are
 //! good.
 
-use paba_bench::{emit, header, NetPoint};
+use super::*;
 use paba_core::GoodnessReport;
 use paba_theory::{expected_distinct_files, goodness_delta, goodness_mu};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(5, 20, 200);
-    header(
+    out.header(
         "Lemma 2: proportional placement is (delta, mu)-good",
         "Lemma 2 (K=n, M=n^alpha, alpha in {0.2, 0.3, 0.4})",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -34,7 +31,7 @@ fn main() {
         }
     }
 
-    let outcomes = paba_mcrunner::sweep(&grid, runs, cfg.seed, None, true, |(p, a), _run, rng| {
+    let outcomes = super::sweep(cfg, &grid, runs, cfg.seed, |(p, a), _run, rng| {
         let net = p.build(rng);
         // Overlap pairs restricted to distance ≤ 2r for a sub-diameter
         // radius r = n^0.25 — the pairs the configuration graph cares
@@ -86,11 +83,11 @@ fn main() {
             ]);
         }
     }
-    emit("lemma2_goodness", &table);
+    out.table("lemma2_goodness", table);
 
-    println!(
+    out.note(
         "Lemma 2 check: 'good frac' ~ 1.0 everywhere -- min t(u) clears delta*M \
          comfortably (t(u) concentrates near M for M << K) and pairwise overlaps \
-         stay below mu = 5/(1-2*alpha)."
+         stay below mu = 5/(1-2*alpha).",
     );
 }

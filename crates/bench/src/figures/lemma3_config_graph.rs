@@ -11,10 +11,9 @@
 //! `M²r²/K`, then replay Strategy II's pair sampling and compare the
 //! hottest observed edge frequency against `c/e(H)`.
 
-use paba_bench::{emit, header, NetPoint};
+use super::*;
 use paba_core::{build_config_graph, ConfigGraphMethod, ProximityChoice, Request, UncachedPolicy};
-use paba_util::envcfg::EnvCfg;
-use paba_util::{FxHashMap, Table};
+use paba_util::FxHashMap;
 use rand::SeedableRng;
 
 /// Expected maximum cell count when `samples` draws land uniformly on
@@ -33,13 +32,12 @@ fn expected_uniform_max(edges: f64, samples: f64) -> f64 {
     t.max(1.0)
 }
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(3, 12, 100);
-    header(
+    out.header(
         "Lemma 3: configuration graph regularity and edge sampling",
         "Lemma 3 (K=n, M=n^alpha, r=n^beta at the Theorem-4 boundary)",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -61,7 +59,7 @@ fn main() {
         })
         .collect();
 
-    let outcomes = paba_mcrunner::sweep(&grid, runs, cfg.seed, None, true, |(p, r), _run, rng| {
+    let outcomes = super::sweep(cfg, &grid, runs, cfg.seed, |(p, r), _run, rng| {
         let net = p.build(rng);
         let h = build_config_graph(&net, Some(*r), ConfigGraphMethod::Auto);
         let stats = h.degree_stats();
@@ -137,11 +135,11 @@ fn main() {
             format!("{:.2}", c.mean),
         ]);
     }
-    emit("lemma3_config_graph", &table);
+    out.table("lemma3_config_graph", table);
 
-    println!(
+    out.note(
         "Lemma 3 check: (a) mean degree tracks Theta(M^2 r^2 / K) with max/min \
          within a constant factor (almost-regularity); (b) the hottest sampled \
-         edge's frequency is O(1/e(H)) -- the last column's constant stays O(1)."
+         edge's frequency is O(1/e(H)) -- the last column's constant stays O(1).",
     );
 }

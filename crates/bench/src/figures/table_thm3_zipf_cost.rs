@@ -20,11 +20,9 @@
 //! the regime (the `coverage` column verifies it); for `γ ≥ 2` the tail
 //! contributes nothing and a small torus suffices.
 
-use paba_bench::{emit, header, NetPoint, RunOut, StrategyKind};
+use super::*;
 use paba_popularity::Popularity;
 use paba_theory::{zipf_cost_exponent_in_k, CostRegime};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
 
 /// Request-weighted coverage of a realized placement: the probability that
 /// a popularity-drawn file has at least one replica.
@@ -35,13 +33,12 @@ fn coverage(net: &paba_core::CacheNetwork<paba_topology::Torus>) -> f64 {
         .sum()
 }
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(6, 60, 500);
-    header(
+    out.header(
         "Theorem 3 / eq. (1): Zipf communication-cost regimes, Strategy I",
         "Theorem 3 (M=3, K swept, Zipf gamma in {0.5,1,1.5,2,2.5}; torus sized per regime)",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -59,31 +56,24 @@ fn main() {
         vec![(0.5, 104), (1.0, 208), (1.5, 528), (2.0, 45), (2.5, 45)],
     );
 
-    let points: Vec<(NetPoint, StrategyKind)> = gammas
+    let points: Vec<NetPoint> = gammas
         .iter()
         .flat_map(|&(g, side)| {
             ks.iter().map(move |&k| {
                 let mut p = NetPoint::uniform(side, k, m);
                 p.popularity = Popularity::zipf(g);
-                (p, StrategyKind::Nearest)
+                p
             })
         })
         .collect();
 
-    // Sweep manually so we can also record coverage per run.
-    let outcomes = paba_mcrunner::sweep(&points, runs, cfg.seed, None, true, |p, _run, rng| {
-        let net = p.0.build(rng);
+    // Strategy I's cost, plus the realized placement's coverage, per run.
+    let outcomes = super::sweep(cfg, &points, runs, cfg.seed, |p, _run, rng| {
+        let net = p.build(rng);
         let cov = coverage(&net);
-        let out: RunOut = {
-            let mut s = paba_core::NearestReplica::new();
-            let rep = paba_core::simulate(&net, &mut s, net.n() as u64, rng);
-            RunOut {
-                max_load: rep.max_load() as f64,
-                cost: rep.comm_cost(),
-                fallback: rep.fallback_fraction(),
-            }
-        };
-        (out.cost, cov)
+        let mut s = paba_core::NearestReplica::new();
+        let cost = paba_core::simulate(&net, &mut s, net.n() as u64, rng).comm_cost();
+        (cost, cov)
     });
 
     // Raw measured costs + coverage.
@@ -102,7 +92,7 @@ fn main() {
             ]);
         }
     }
-    emit("table_thm3_costs", &raw);
+    out.table("table_thm3_costs", raw);
 
     // Fitted exponents vs theory.
     let mut fit_table = Table::new([
@@ -139,12 +129,12 @@ fn main() {
             if ok { "yes".into() } else { "off".to_string() },
         ]);
     }
-    emit("table_thm3_exponents", &fit_table);
+    out.table("table_thm3_exponents", fit_table);
 
-    println!(
+    out.note(
         "Paper check: exponents fall from 1/2 (gamma<=1) through 1-gamma/2 to 0 \
          (gamma>=2) -- skew makes cost library-size-independent, eq. (1). \
          gamma=1 carries a -1/2 log K correction; gamma=1.5 needs the larger \
-         torus (coverage column ~1) for its tail-driven exponent."
+         torus (coverage column ~1) for its tail-driven exponent.",
     );
 }

@@ -6,18 +6,15 @@
 //!   `L ∈ [Ω(log n/log log n), O(log n)]`. We check the measured load sits
 //!   between the two normalized envelopes.
 
-use paba_bench::{emit, header, NetPoint, StrategyKind};
+use super::*;
 use paba_theory::one_choice_max_load;
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(10, 200, 2_000);
-    header(
+    out.header(
         "Theorems 1-2: Strategy I max-load scaling laws",
         "Thm 1 (K=n^0.5, M=2) and Thm 2 (K=n, M=n^0.25)",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -36,7 +33,7 @@ fn main() {
             (NetPoint::uniform(s, k, 2), StrategyKind::Nearest)
         })
         .collect();
-    let res_t1 = paba_bench::sweep_points(&points_t1, runs, cfg.seed);
+    let res_t1 = sweep_points(cfg, &points_t1, runs, cfg.seed);
 
     let mut t1 = Table::new(["n", "K=n^0.5", "L (mean)", "ln n", "L / ln n"]);
     let mut ratios = Vec::new();
@@ -52,13 +49,13 @@ fn main() {
             format!("{:.3}", l / n.ln()),
         ]);
     }
-    emit("thm1_logn_scaling", &t1);
+    out.table("thm1_logn_scaling", t1);
     let spread = ratios.iter().cloned().fold(f64::MIN, f64::max)
         / ratios.iter().cloned().fold(f64::MAX, f64::min);
-    println!(
+    out.note(format!(
         "Theorem 1 check: L/ln n spread across the sweep = {spread:.2}x \
          (Θ(log n) predicts an O(1) spread; paper proves matching bounds).\n"
-    );
+    ));
 
     // --- Theorem 2 regime ---
     let points_t2: Vec<(NetPoint, StrategyKind)> = sides
@@ -69,7 +66,7 @@ fn main() {
             (NetPoint::uniform(s, n, m), StrategyKind::Nearest)
         })
         .collect();
-    let res_t2 = paba_bench::sweep_points(&points_t2, runs, cfg.seed ^ 0x7777);
+    let res_t2 = sweep_points(cfg, &points_t2, runs, cfg.seed ^ 0x7777);
 
     let mut t2 = Table::new([
         "n",
@@ -96,9 +93,9 @@ fn main() {
             if ok { "yes".into() } else { "OFF".to_string() },
         ]);
     }
-    emit("thm2_band_scaling", &t2);
-    println!(
+    out.table("thm2_band_scaling", t2);
+    out.note(
         "Theorem 2 check: measured L sits between the Ω(log n/log log n) and \
-         O(log n) envelopes (constants absorbed)."
+         O(log n) envelopes (constants absorbed).",
     );
 }

@@ -9,19 +9,16 @@
 //!   `β = Ω(log log n / log n)` ⇒ `L = Θ(log log n)` at tiny cost. We use
 //!   a fixed small radius ladder.
 
-use paba_bench::{emit, header, NetPoint, StrategyKind};
+use super::*;
 use paba_core::PlacementPolicy;
 use paba_theory::theorem4_min_beta;
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(8, 120, 1_000);
-    header(
+    out.header(
         "Theorems 4 & 6: Strategy II max-load scaling",
         "Thm 4 (K=n, M=n^0.3, r=n^beta) and Thm 6 (M=K, small r)",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -51,7 +48,7 @@ fn main() {
         ));
         labels.push((m, r_ok, r_bad));
     }
-    let res = paba_bench::sweep_points(&points, runs, cfg.seed);
+    let res = sweep_points(cfg, &points, runs, cfg.seed);
 
     let mut t4 = Table::new([
         "n",
@@ -82,11 +79,11 @@ fn main() {
             format!("{:.3}", bad.max_load.mean / lll),
         ]);
     }
-    emit("thm4_regimes", &t4);
-    println!(
+    out.table("thm4_regimes", t4);
+    out.note(
         "Theorem 4 check: in the satisfied regime L/lnln n stays ~constant and \
          C = Θ(r); violating the density condition (small beta) leaves the max \
-         load higher and growing.\n"
+         load higher and growing.\n",
     );
 
     // --- Theorem 6: M = K, tiny radius ---
@@ -108,7 +105,7 @@ fn main() {
             (p, StrategyKind::two_choice(Some(r)))
         })
         .collect();
-    let res_t6 = paba_bench::sweep_points(&points_t6, runs, cfg.seed ^ 0xabcd);
+    let res_t6 = sweep_points(cfg, &points_t6, runs, cfg.seed ^ 0xabcd);
 
     let mut t6 = Table::new(["n", "r", "L (mean)", "L/lnln n", "C (hops)"]);
     for (i, &s) in sides.iter().enumerate() {
@@ -127,10 +124,10 @@ fn main() {
             format!("{:.2}", res_t6[i].cost.mean),
         ]);
     }
-    emit("thm6_full_replication", &t6);
-    println!(
+    out.table("thm6_full_replication", t6);
+    out.note(
         "Theorem 6 check: with M=K even r = ln n (= n^(loglog n/log n), ~7-11 hops \
          here) achieves the Θ(log log n) balance of unconstrained two-choice, at a \
-         cost C = Θ(r) far below the Θ(sqrt n) of r = inf."
+         cost C = Θ(r) far below the Θ(sqrt n) of r = inf.",
     );
 }

@@ -14,9 +14,7 @@
 //! * `flash-crowd` — one file boosted 50x for the whole run.
 //! * `shifting` — popularity ranks rotate every n/10 requests.
 
-use paba_bench::{emit, header, sweep_workload_points, NetPoint, StrategyKind};
-use paba_util::envcfg::EnvCfg;
-use paba_util::Table;
+use super::*;
 use paba_workload::WorkloadSpec;
 
 fn workloads(n: u64) -> Vec<(&'static str, WorkloadSpec)> {
@@ -52,13 +50,12 @@ fn workloads(n: u64) -> Vec<(&'static str, WorkloadSpec)> {
     ]
 }
 
-fn main() {
-    let cfg = EnvCfg::from_env();
+pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let runs = cfg.runs(8, 100, 1_000);
-    header(
+    out.header(
         "Strategy I vs II across the synthetic workload family",
         "the delivery phase of §V under paba-workload request sources",
-        &cfg,
+        cfg,
         runs,
     );
 
@@ -77,7 +74,7 @@ fn main() {
                 points.push((p, kind, spec.clone()));
             }
         }
-        let res = sweep_workload_points(&points, runs, cfg.seed ^ n);
+        let res = sweep_workload_points(cfg, &points, runs, cfg.seed ^ n);
 
         let mut table = Table::new([
             "workload",
@@ -97,14 +94,16 @@ fn main() {
                 format!("{:.2}", s2.cost.mean),
             ]);
         }
-        println!("### n = {n} (side {side}, K = {k}, M = {m}, Zipf 0.8)\n");
-        emit(&format!("workloads_n{n}"), &table);
+        out.note(format!(
+            "### n = {n} (side {side}, K = {k}, M = {m}, Zipf 0.8)\n"
+        ));
+        out.table(format!("workloads_n{n}"), table);
     }
 
-    println!(
+    out.note(
         "Reading: proximity-aware two-choice holds its max load nearly flat across the \
          family, while\nStrategy I degrades badly when request geography concentrates \
          (hotspot, zipf-origins) — the\nload-balancing story survives every workload, not \
-         just the paper's IID one."
+         just the paper's IID one.",
     );
 }

@@ -1,28 +1,23 @@
-//! Shared harness for the figure/table regeneration benches.
+//! Figure/table regeneration and the artifact report.
 //!
-//! Every bench target in this crate reproduces one figure or table of
-//! Pourmiri et al. (IPDPS 2017): it sweeps the paper's parameter grid,
-//! averages a configurable number of Monte-Carlo runs per point (placement
-//! *and* requests re-randomized each run, matching the paper's §V setup),
-//! and prints the same series the paper plots — as a Markdown table on
-//! stdout (captured into `bench_output.txt`) and as CSV under
-//! `target/paba-results/` for replotting.
-//!
-//! Environment knobs (see [`paba_util::envcfg`]): `PABA_RUNS`,
-//! `PABA_SEED`, `PABA_SCALE=quick|default|full`.
+//! [`figures`] reproduces each figure or table of Pourmiri et al. (IPDPS
+//! 2017): it sweeps the paper's parameter grid, averages a configurable
+//! number of Monte-Carlo runs per point (placement *and* requests
+//! re-randomized each run, matching the paper's §V setup), and writes the
+//! same series the paper plots, for `paba figure` to print. [`report`]
+//! folds the gated suites' `BENCH_*.json` artifacts into one report.
 
+pub mod figures;
 pub mod report;
 
 use paba_core::{
     simulate_source, CacheNetwork, NearestReplica, PlacementPolicy, ProximityChoice, UncachedPolicy,
 };
 use paba_popularity::Popularity;
-use paba_util::envcfg::EnvCfg;
-use paba_util::{Summary, Table};
+use paba_repro::ReproConfig;
+use paba_util::Summary;
 use paba_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
-use std::io::Write as _;
-use std::path::PathBuf;
 
 /// One network configuration point of a sweep.
 #[derive(Clone, Debug)]
@@ -112,15 +107,10 @@ pub struct RunOut {
     pub fallback: f64,
 }
 
-/// One full simulation run: fresh placement, `n` requests (the paper's
-/// default request count), selected strategy, the paper's IID workload.
-pub fn run_once(point: &NetPoint, kind: StrategyKind, rng: &mut SmallRng) -> RunOut {
-    run_once_workload(point, kind, &WorkloadSpec::Iid, rng)
-}
-
-/// [`run_once`] with an explicit workload: the `n` requests are drawn
-/// from a fresh instantiation of `spec` instead of the IID baseline.
-pub fn run_once_workload(
+/// One full simulation run: fresh placement, then `n` requests (the
+/// paper's default request count) drawn from a fresh instantiation of
+/// `spec` and assigned by the selected strategy.
+pub fn run_once(
     point: &NetPoint,
     kind: StrategyKind,
     spec: &WorkloadSpec,
@@ -159,16 +149,16 @@ pub struct PointSummary {
     pub fallback: Summary,
 }
 
-/// Sweep `(NetPoint, StrategyKind, WorkloadSpec)` triples in parallel —
-/// the workload-aware twin of [`sweep_points`], sharing the same
-/// deterministic `(seed, point, run)` derivation.
+/// Sweep `(NetPoint, StrategyKind, WorkloadSpec)` triples in parallel on
+/// `cfg.threads` workers, deterministic in `(seed, point, run)`.
 pub fn sweep_workload_points(
+    cfg: &ReproConfig,
     points: &[(NetPoint, StrategyKind, WorkloadSpec)],
     runs: usize,
     seed: u64,
 ) -> Vec<PointSummary> {
-    let outcomes = paba_mcrunner::sweep(points, runs, seed, None, true, |p, _run, rng| {
-        run_once_workload(&p.0, p.1, &p.2, rng)
+    let outcomes = figures::sweep(cfg, points, runs, seed, |p, _run, rng| {
+        run_once(&p.0, p.1, &p.2, rng)
     });
     outcomes
         .iter()
@@ -180,64 +170,18 @@ pub fn sweep_workload_points(
         .collect()
 }
 
-/// Sweep a set of `(NetPoint, StrategyKind)` configurations in parallel.
+/// [`sweep_workload_points`] under the paper's IID workload.
 pub fn sweep_points(
+    cfg: &ReproConfig,
     points: &[(NetPoint, StrategyKind)],
     runs: usize,
     seed: u64,
 ) -> Vec<PointSummary> {
-    let outcomes = paba_mcrunner::sweep(points, runs, seed, None, true, |p, _run, rng| {
-        run_once(&p.0, p.1, rng)
-    });
-    outcomes
+    let points: Vec<_> = points
         .iter()
-        .map(|o| PointSummary {
-            max_load: o.summarize(|r| r.max_load),
-            cost: o.summarize(|r| r.cost),
-            fallback: o.summarize(|r| r.fallback),
-        })
-        .collect()
-}
-
-/// Print the standard bench header.
-pub fn header(name: &str, paper_ref: &str, cfg: &EnvCfg, runs: usize) {
-    println!("\n## {name}");
-    println!();
-    println!(
-        "Reproduces {paper_ref} -- seed {}, {} runs/point, scale {:?}.",
-        cfg.seed, runs, cfg.scale
-    );
-    println!();
-}
-
-/// Print a table to stdout and save its CSV under `target/paba-results/`.
-pub fn emit(name: &str, table: &Table) {
-    print!("{}", table.to_markdown());
-    println!();
-    let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.csv"));
-        if let Ok(mut f) = std::fs::File::create(&path) {
-            let _ = f.write_all(table.to_csv().as_bytes());
-            println!("(CSV: {})", path.display());
-            println!();
-        }
-    }
-}
-
-/// Directory where CSV results are written: `<workspace>/target/paba-results`
-/// (or under `CARGO_TARGET_DIR` when redirected).
-pub fn results_dir() -> PathBuf {
-    let target = std::env::var_os("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| {
-            // Bench binaries run with the package as cwd; anchor at the
-            // workspace root (two levels above this crate's manifest).
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("target")
-        });
-    target.join("paba-results")
+        .map(|(p, kind)| (p.clone(), *kind, WorkloadSpec::Iid))
+        .collect();
+    sweep_workload_points(cfg, &points, runs, seed)
 }
 
 /// Geometric-ish ladder of torus sides between `lo` and `hi` (inclusive),
@@ -269,10 +213,11 @@ mod tests {
     fn run_once_produces_sane_metrics() {
         let p = NetPoint::uniform(8, 16, 2);
         let mut rng = SmallRng::seed_from_u64(1);
-        let out = run_once(&p, StrategyKind::Nearest, &mut rng);
+        let iid = WorkloadSpec::Iid;
+        let out = run_once(&p, StrategyKind::Nearest, &iid, &mut rng);
         assert!(out.max_load >= 1.0);
         assert!(out.cost >= 0.0);
-        let out2 = run_once(&p, StrategyKind::two_choice(Some(2)), &mut rng);
+        let out2 = run_once(&p, StrategyKind::two_choice(Some(2)), &iid, &mut rng);
         assert!(out2.max_load >= 1.0);
     }
 
@@ -282,7 +227,8 @@ mod tests {
             (NetPoint::uniform(5, 10, 1), StrategyKind::Nearest),
             (NetPoint::uniform(5, 10, 2), StrategyKind::two_choice(None)),
         ];
-        let res = sweep_points(&pts, 5, 3);
+        let cfg = ReproConfig::new(paba_util::envcfg::Scale::Quick);
+        let res = sweep_points(&cfg, &pts, 5, 3);
         assert_eq!(res.len(), 2);
         for s in &res {
             assert_eq!(s.max_load.count, 5);

@@ -17,7 +17,11 @@
 use std::path::Path;
 
 use paba_repro::json::{parse, Json};
+use paba_repro::Artifact;
 use paba_util::{schema, Provenance, Table};
+
+/// The gated-suite schemas, which share the layout of [`Artifact`].
+const GATED: [&str; 3] = [schema::REPRO, schema::CHURN, schema::QUEUEING];
 
 /// One parsed artifact plus everything the checks derived from it.
 #[derive(Debug)]
@@ -30,6 +34,9 @@ pub struct ReportArtifact {
     pub provenance: Option<Provenance>,
     /// The parsed document.
     pub doc: Json,
+    /// The typed artifact, for a gated-suite schema that parses with the
+    /// reader `--check` uses.
+    pub gated: Option<Artifact>,
 }
 
 /// The assembled report.
@@ -92,25 +99,19 @@ pub fn collect_dir(dir: &Path) -> Result<Vec<(String, String)>, String> {
 }
 
 /// The one renderer: every gated-suite schema (repro, churn, queueing)
-/// shares the gates+metrics layout of [`paba_repro::Artifact`].
-fn gates_section(out: &mut String, doc: &Json) {
-    let gates = doc.get("gates").and_then(Json::as_arr).unwrap_or(&[]);
-    let passed = gates
-        .iter()
-        .filter(|g| g.get("passed").and_then(Json::as_bool) == Some(true))
-        .count();
-    let metrics = doc
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .map_or(0, <[Json]>::len);
+/// shares the gates+metrics layout of [`Artifact`].
+fn gates_section(out: &mut String, a: &Artifact) {
+    let passed = a.gates.iter().filter(|g| g.passed).count();
     out.push_str(&format!(
-        "Theorem gates: **{passed}/{} passed** · {metrics} metrics recorded\n",
-        gates.len()
+        "Theorem gates: **{passed}/{} passed** · {} metrics recorded\n",
+        a.gates.len(),
+        a.metrics.len()
     ));
-    let failing: Vec<&str> = gates
+    let failing: Vec<&str> = a
+        .gates
         .iter()
-        .filter(|g| g.get("passed").and_then(Json::as_bool) != Some(true))
-        .filter_map(|g| g.get("id").and_then(Json::as_str))
+        .filter(|g| !g.passed)
+        .map(|g| g.id.as_str())
         .collect();
     if !failing.is_empty() {
         out.push_str("\nFailing gates:\n");
@@ -122,10 +123,9 @@ fn gates_section(out: &mut String, doc: &Json) {
 
 fn section_for(out: &mut String, a: &ReportArtifact) {
     out.push_str(&format!("\n## {} (`{}`)\n\n", a.name, a.schema));
-    if [schema::REPRO, schema::CHURN, schema::QUEUEING].contains(&a.schema.as_str()) {
-        gates_section(out, &a.doc);
-    } else {
-        out.push_str("(no renderer for this schema; see raw artifact)\n");
+    match &a.gated {
+        Some(gated) => gates_section(out, gated),
+        None => out.push_str("(no renderer for this schema; see raw artifact)\n"),
     }
 }
 
@@ -221,6 +221,20 @@ pub fn build_report(files: &[(String, String)]) -> Report {
             .and_then(Json::as_str)
             .unwrap_or("")
             .to_string();
+        // Gated-suite artifacts go through the typed reader `--check`
+        // uses; provenance still comes from the raw document, since
+        // `Artifact` does not carry it.
+        let gated = if GATED.contains(&doc_schema.as_str()) {
+            match Artifact::from_json_expecting(contents, &doc_schema) {
+                Ok(a) => Some(a),
+                Err(e) => {
+                    failures.push(format!("{name}: invalid artifact: {e}"));
+                    None
+                }
+            }
+        } else {
+            None
+        };
         let provenance = match doc.get("provenance") {
             None | Some(Json::Null) => None,
             Some(p) => match parse_provenance(p) {
@@ -236,6 +250,7 @@ pub fn build_report(files: &[(String, String)]) -> Report {
             schema: doc_schema,
             provenance,
             doc,
+            gated,
         });
     }
     check_consistency(&artifacts, &mut warnings, &mut failures);
@@ -458,12 +473,29 @@ mod tests {
 
     #[test]
     fn missing_provenance_and_fresh_name_warn_but_do_not_fail() {
-        let legacy = r#"{"schema": "paba-repro/1", "seed": 1, "gates": [], "metrics": []}"#;
+        let legacy = r#"{"schema": "paba-repro/1", "seed": 1, "scale": "quick", "gates": [], "metrics": []}"#;
         let r = build_report(&[("BENCH_repro_fresh.json".into(), legacy.to_string())]);
         assert!(r.failures.is_empty(), "{:?}", r.failures);
         assert_eq!(r.warnings.len(), 2, "{:?}", r.warnings);
         assert!(r.warnings.iter().any(|w| w.contains("no provenance")));
         assert!(r.warnings.iter().any(|w| w.contains("scratch artifact")));
+    }
+
+    #[test]
+    fn malformed_gated_artifact_is_a_failure() {
+        // Provenance intact, but no `gates` array and non-array
+        // `metrics`: `--check` rejects this, so the report must too.
+        let prov = Provenance::capture(schema::REPRO, 3, "quick", "x").to_json();
+        let bad = format!(
+            r#"{{"schema": "paba-repro/1", "seed": 3, "scale": "quick", "metrics": "oops", "provenance": {prov}}}"#
+        );
+        assert!(Artifact::from_json_expecting(&bad, schema::REPRO).is_err());
+        let r = build_report(&[("BENCH_repro.json".into(), bad)]);
+        assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
+        assert!(r.failures[0].contains("'gates'"), "{:?}", r.failures);
+        assert!(!r.markdown.contains("Theorem gates"), "{}", r.markdown);
+        assert!(!r.markdown.contains("- ok:"), "{}", r.markdown);
+        assert!(r.markdown.contains("- FAIL:"), "{}", r.markdown);
     }
 
     #[test]

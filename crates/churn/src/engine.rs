@@ -237,7 +237,7 @@ impl ChurnEngine {
         // lost copy on a policy-chosen live node with spare capacity.
         let lost = net.mutate_placement(|p| p.remove_node_entries(node));
         for f in lost {
-            match self.pick_repair_target(net, f, rng) {
+            match self.pick_target(net, f, true, rng) {
                 Some(u) => {
                     net.mutate_placement(|p| p.insert(u, f));
                     self.report.migrations += 1;
@@ -377,22 +377,7 @@ impl ChurnEngine {
             // Insert targets may be full — ingest is what creates
             // capacity pressure — so eviction is allowed here (and only
             // here; repair never destroys resident data).
-            let target = match self.cfg.repair {
-                RepairPolicy::TwoChoices => {
-                    match (
-                        self.draw_insert_target(net, file, rng),
-                        self.draw_insert_target(net, file, rng),
-                    ) {
-                        (Some(a), Some(b)) => {
-                            let p = net.placement();
-                            Some(if p.t_u(b) < p.t_u(a) { b } else { a })
-                        }
-                        (a, b) => a.or(b),
-                    }
-                }
-                _ => self.draw_insert_target(net, file, rng),
-            };
-            let Some(u) = target else {
+            let Some(u) = self.pick_target(net, file, false, rng) else {
                 self.report.lost += 1;
                 continue;
             };
@@ -409,12 +394,14 @@ impl ChurnEngine {
         placed
     }
 
-    /// Uniform live node not yet caching `file` (full caches allowed —
-    /// callers evict). `None` after [`DRAW_ATTEMPTS`] rejections.
-    fn draw_insert_target<T, R>(
+    /// Uniform live node not yet caching `file`; with `need_room`, only
+    /// one with spare capacity (repair must not evict, inserts may).
+    /// `None` after [`DRAW_ATTEMPTS`] rejections.
+    fn draw_target<T, R>(
         &self,
         net: &CacheNetwork<T>,
         file: FileId,
+        need_room: bool,
         rng: &mut R,
     ) -> Option<NodeId>
     where
@@ -424,58 +411,39 @@ impl ChurnEngine {
         let p = net.placement();
         for _ in 0..DRAW_ATTEMPTS {
             let u = rng.gen_range(0..p.n());
-            if self.alive[u as usize] && !p.caches(u, file) {
+            if self.alive[u as usize] && !p.caches(u, file) && (!need_room || p.t_u(u) < p.m()) {
                 return Some(u);
             }
         }
         None
     }
 
-    /// Uniform live node not caching `file` *with spare capacity* (repair
-    /// must not evict). `None` after [`DRAW_ATTEMPTS`] rejections.
-    fn draw_repair_candidate<T, R>(
+    /// The policy's target for a new copy of `file`: the less loaded of
+    /// two [`Self::draw_target`] draws under two-choices repair, else
+    /// one draw.
+    fn pick_target<T, R>(
         &self,
         net: &CacheNetwork<T>,
         file: FileId,
+        need_room: bool,
         rng: &mut R,
     ) -> Option<NodeId>
     where
         T: Topology,
         R: Rng + ?Sized,
     {
-        let p = net.placement();
-        for _ in 0..DRAW_ATTEMPTS {
-            let u = rng.gen_range(0..p.n());
-            if self.alive[u as usize] && !p.caches(u, file) && p.t_u(u) < p.m() {
-                return Some(u);
-            }
+        if !matches!(self.cfg.repair, RepairPolicy::TwoChoices) {
+            return self.draw_target(net, file, need_room, rng);
         }
-        None
-    }
-
-    fn pick_repair_target<T, R>(
-        &self,
-        net: &CacheNetwork<T>,
-        file: FileId,
-        rng: &mut R,
-    ) -> Option<NodeId>
-    where
-        T: Topology,
-        R: Rng + ?Sized,
-    {
-        match self.cfg.repair {
-            RepairPolicy::None => None,
-            RepairPolicy::Random => self.draw_repair_candidate(net, file, rng),
-            RepairPolicy::TwoChoices => match (
-                self.draw_repair_candidate(net, file, rng),
-                self.draw_repair_candidate(net, file, rng),
-            ) {
-                (Some(a), Some(b)) => {
-                    let p = net.placement();
-                    Some(if p.t_u(b) < p.t_u(a) { b } else { a })
-                }
-                (a, b) => a.or(b),
-            },
+        match (
+            self.draw_target(net, file, need_room, rng),
+            self.draw_target(net, file, need_room, rng),
+        ) {
+            (Some(a), Some(b)) => {
+                let p = net.placement();
+                Some(if p.t_u(b) < p.t_u(a) { b } else { a })
+            }
+            (a, b) => a.or(b),
         }
     }
 

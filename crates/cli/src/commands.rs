@@ -22,8 +22,10 @@ use rand::SeedableRng;
 
 /// Print the global help text.
 pub fn print_help() {
-    println!(
-        "paba — proximity-aware balanced allocations in cache networks
+    println!("{HELP}");
+}
+
+const HELP: &str = "paba — proximity-aware balanced allocations in cache networks
 (Pourmiri, Jafari Siavoshani, Shariatpanahi; IPDPS 2017)
 
 USAGE:
@@ -38,6 +40,8 @@ USAGE:
                                       fault injection, repair, degradation gates
   paba queueing [options]             run the temporal serving-engine suite:
                                       paired queueing arms, sojourn-tail gates
+  paba figure NAME|all [options]      regenerate a paper figure/theorem table
+                                      (see FIGURE OPTIONS), or every one
   paba report [options]               aggregate BENCH_*.json artifacts into one
                                       provenance-checked markdown report
   paba help                           show this text
@@ -106,10 +110,9 @@ QUEUE OPTIONS (plus the workload options above):
   --lambda L        per-server arrival rate in (0,1) (0.8)
   --horizon T       simulated time (2000)
   --warmup T        measurement warm-up (500)
-  --stride S        sample the queue-length series every S arrivals (0 = off)
 
 GATED SUITE OPTIONS (paba repro | churn | queueing):
-  --scale S         quick | default | full experiment grids (PABA_SCALE or default)
+  --scale S         quick | default | full experiment grids (default)
   --quick           shorthand for --scale quick
   --seed S          master seed (20170529)
   --runs R          override every experiment's Monte-Carlo run count
@@ -138,6 +141,16 @@ GATED SUITE OPTIONS (paba repro | churn | queueing):
   --warmup T        measurement-window start (scale default)
   --stale-period P  stale-signal refresh period in dispatches (4n)
 
+FIGURE OPTIONS (paba figure NAME|all):
+  NAME              fig1_maxload_nearest | fig2_cost_nearest |
+                    fig3_maxload_twochoice | fig4_cost_twochoice | fig5_tradeoff |
+                    thm12_nearest_scaling | table_thm3_zipf_cost |
+                    thm46_twochoice_scaling | lemma1_voronoi | lemma2_goodness |
+                    lemma3_config_graph | examples_regimes | ablation_design |
+                    supermarket_queueing | workloads
+  --scale/--quick/--seed/--runs/--threads  as for the gated suites
+  --csv             print each table as CSV under a '# NAME' line
+
 REPORT OPTIONS:
   --dir DIR         directory scanned for BENCH_*.json artifacts (.)
   --out PATH        markdown output path ('-' = stdout, 'none' skips; -)
@@ -151,9 +164,7 @@ BALLSBINS OPTIONS:
   --d D             choices for 'd'/'batched' (3)
   --beta B          beta for 'beta' (0.5)
   --batch B         batch size for 'batched' (64)
-  --runs/--seed     as above"
-    );
-}
+  --runs/--seed     as above";
 
 const SIM_KEYS: &[&str] = &[
     "side",
@@ -282,17 +293,25 @@ fn print_table(a: &Args, t: &Table) {
     }
 }
 
-/// `--scale` (or the `--quick` shorthand), defaulting to `PABA_SCALE`.
-fn scale(a: &Args) -> Result<Scale, String> {
-    if a.flag("quick") {
-        return Ok(Scale::Quick);
-    }
-    match a.get("scale") {
-        None => Ok(paba_util::envcfg::EnvCfg::from_env().scale),
+/// The options every experiment driver (`paba repro|churn|queueing|
+/// figure`) shares: `--scale` (or the `--quick` shorthand), `--seed`,
+/// `--runs` and `--threads`.
+fn experiment_config(a: &Args) -> Result<paba_repro::ReproConfig, String> {
+    let scale = match a.get("scale") {
+        _ if a.flag("quick") => Scale::Quick,
+        None => Scale::default(),
         Some(s) => s
             .parse()
-            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'")),
+            .map_err(|_| format!("--scale: expected quick|default|full, got '{s}'"))?,
+    };
+    let mut cfg = paba_repro::ReproConfig::new(scale);
+    cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
+    cfg.runs_override = a.parse_opt("runs")?;
+    if cfg.runs_override == Some(0) {
+        return Err("--runs must be a positive run count".into());
     }
+    cfg.threads = a.parse_opt("threads")?.filter(|&t| t != 0);
+    Ok(cfg)
 }
 
 /// `--side/--files/--cache/--gamma`, validated so a bad network shape is
@@ -721,8 +740,8 @@ pub fn simulate(a: &Args) -> Result<(), String> {
 pub fn queue(a: &Args) -> Result<(), String> {
     reject_action(a)?;
     let mut known = vec![
-        "side", "files", "cache", "gamma", "radius", "choices", "strategy", "stale", "stride",
-        "lambda", "horizon", "warmup", "seed", "csv",
+        "side", "files", "cache", "gamma", "radius", "choices", "strategy", "stale", "lambda",
+        "horizon", "warmup", "seed", "csv",
     ];
     known.extend_from_slice(WORKLOAD_KEYS);
     a.check_keys(&known)?;
@@ -730,7 +749,6 @@ pub fn queue(a: &Args) -> Result<(), String> {
     let radius = a.radius("radius")?;
     let choices: u32 = a.positive_or("choices", 2, "number of choices")?;
     let stale: u64 = a.positive_or("stale", 1, "refresh period")?;
-    let stride: u64 = a.parse_or("stride", 0)?;
     let lambda: f64 = a.parse_or("lambda", 0.8)?;
     let horizon: f64 = a.parse_or("horizon", 2_000.0)?;
     let warmup: f64 = a.parse_or("warmup", 500.0)?;
@@ -741,7 +759,7 @@ pub fn queue(a: &Args) -> Result<(), String> {
         horizon,
         warmup,
         tail_cap: 24,
-        stride,
+        stride: 0,
     };
     cfg.validate()?;
     let spec = workload_spec(a)?;
@@ -819,12 +837,6 @@ pub fn queue(a: &Args) -> Result<(), String> {
     ]);
     for kq in 1..=6usize {
         t.push_row([format!("Pr[Q >= {kq}]"), format!("{:.5}", rep.tail_at(kq))]);
-    }
-    if stride > 0 {
-        t.push_row([
-            "series points".to_string(),
-            format!("{}", rep.series.points.len()),
-        ]);
     }
     print_table(a, &t);
     Ok(())
@@ -1001,16 +1013,9 @@ pub fn gated_suite(a: &Args, name: &str) -> Result<(), String> {
         other => return Err(format!("unknown gated suite '{other}'")),
     };
     a.check_keys(&keys.concat())?;
-    let scale = scale(a)?;
-    let mut cfg = paba_repro::ReproConfig::new(scale);
-    cfg.seed = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    cfg.runs_override = a.parse_opt("runs")?;
-    if cfg.runs_override == Some(0) {
-        return Err("--runs must be a positive run count".into());
-    }
-    cfg.threads = a.parse_opt("threads")?.filter(|&t| t != 0);
+    let cfg = experiment_config(a)?;
     let suite = parse(a)?;
-    suite.validate(scale)?;
+    suite.validate(cfg.scale)?;
     let name = suite.name();
 
     let check = a.flag("check");
@@ -1088,6 +1093,36 @@ pub fn gated_suite(a: &Args, name: &str) -> Result<(), String> {
             ));
         }
         eprintln!("golden check passed against {golden_path}");
+    }
+    Ok(())
+}
+
+/// Options of `paba figure`.
+const FIGURE_KEYS: &[&str] = &["scale", "quick", "seed", "runs", "threads", "csv"];
+
+/// `paba figure NAME|all` — regenerate the paper's figure and theorem
+/// tables (`paba_bench::figures`) and print them as Markdown, or as CSV
+/// under `--csv`.
+pub fn figure(a: &Args) -> Result<(), String> {
+    a.check_keys(FIGURE_KEYS)?;
+    let name = a
+        .action
+        .as_deref()
+        .ok_or("figure needs a name: all, or one listed under FIGURE OPTIONS in 'paba help'")?;
+    let figures = paba_bench::figures::select(name)?;
+    let cfg = experiment_config(a)?;
+    for run in figures {
+        let mut sink = paba_bench::figures::Sink::default();
+        run(&cfg, &mut sink);
+        let csv = a.flag("csv");
+        print!(
+            "{}",
+            if csv {
+                sink.to_csv()
+            } else {
+                sink.to_markdown()
+            }
+        );
     }
     Ok(())
 }
@@ -1302,10 +1337,10 @@ mod tests {
             ));
             assert!(queue(&a).is_ok(), "{strat}");
         }
-        // Stale load signal, strided series, and a workload family in one.
+        // Stale load signal and a workload family in one.
         let a = args(
             "queue --side 6 --files 8 --cache 2 --lambda 0.6 --horizon 300 \
-             --warmup 50 --stale 64 --stride 32 --workload flash-crowd",
+             --warmup 50 --stale 64 --workload flash-crowd",
         );
         assert!(queue(&a).is_ok());
         assert!(queue(&args("queue --strategy chaos"))
@@ -1317,6 +1352,11 @@ mod tests {
         assert!(queue(&args("queue --warmup 900 --horizon 800"))
             .unwrap_err()
             .contains("warmup"));
+        // The queue-length series is never written anywhere, so there is
+        // no option to sample it.
+        assert!(queue(&args("queue --stride 32"))
+            .unwrap_err()
+            .contains("stride"));
     }
 
     #[test]
@@ -1613,6 +1653,50 @@ mod tests {
     fn repro_rejects_unknown_options() {
         let a = args("repro --sacle quick");
         assert!(repro(&a).unwrap_err().contains("sacle"));
+    }
+
+    #[test]
+    fn experiment_options_parse_all_fields() {
+        let fields = |s: &str| {
+            let cfg = experiment_config(&args(s)).unwrap();
+            (cfg.scale, cfg.seed, cfg.runs_override, cfg.threads)
+        };
+        let all = fields("figure all --scale full --seed 99 --runs 1234 --threads 2");
+        assert_eq!(all, (Scale::Full, 99, Some(1234), Some(2)));
+        let seed = paba_util::envcfg::DEFAULT_SEED;
+        assert_eq!(fields("figure all"), (Scale::Default, seed, None, None));
+        // `--quick` wins over `--scale`; `--threads 0` = all cores.
+        let quick = fields("figure all --scale full --quick --threads 0");
+        assert_eq!(quick, (Scale::Quick, seed, None, None));
+    }
+
+    #[test]
+    fn figure_rejects_bad_invocations() {
+        assert!(figure(&args("figure"))
+            .unwrap_err()
+            .contains("needs a name"));
+        let err = figure(&args("figure fig9")).unwrap_err();
+        for name in ["fig9", "all", "fig1_maxload_nearest", "workloads"] {
+            assert!(err.contains(name), "{err}");
+        }
+        for (bad, key) in [
+            ("--out figs.csv", "out"),
+            ("--runs 0", "--runs"),
+            ("--scale huge", "--scale"),
+            ("--seed x", "--seed"),
+            ("--threads many", "--threads"),
+        ] {
+            let err = figure(&args(&format!("figure fig1_maxload_nearest {bad}"))).unwrap_err();
+            assert!(err.contains(key), "{bad}: {err}");
+        }
+        assert!(figure(&args("figure fig2_cost_nearest --quick --runs 1 --csv")).is_ok());
+    }
+
+    #[test]
+    fn help_lists_every_figure() {
+        for (name, _) in paba_bench::figures::FIGURES {
+            assert!(HELP.contains(name), "{name}");
+        }
     }
 
     #[test]

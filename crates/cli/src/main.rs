@@ -11,6 +11,8 @@
 //! paba repro --quick --check
 //! paba churn --quick --check
 //! paba queueing --quick --check
+//! paba figure fig1_maxload_nearest --quick
+//! paba figure all --scale full --csv
 //! paba simulate --side 45 --radius 5 --telemetry-out telemetry.json
 //! paba simulate --side 45 --runs 200 --serve-metrics 127.0.0.1:9464
 //! paba report --dir . --out REPORT.md
@@ -47,6 +49,7 @@ fn main() {
         Some("ballsbins") => commands::ballsbins(&parsed),
         Some("workload") => commands::workload(&parsed),
         Some(suite @ ("repro" | "churn" | "queueing")) => commands::gated_suite(&parsed, suite),
+        Some("figure") => commands::figure(&parsed),
         Some("report") => commands::report(&parsed),
         Some("help") | None => {
             commands::print_help();

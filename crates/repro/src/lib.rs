@@ -67,12 +67,18 @@ impl ReproConfig {
     }
 
     /// Resolve a run count: the override if set, else by scale.
-    pub(crate) fn runs(&self, quick: usize, default: usize, full: usize) -> usize {
-        self.runs_override.unwrap_or(match self.scale {
+    pub fn runs(&self, quick: usize, default: usize, full: usize) -> usize {
+        self.runs_override
+            .unwrap_or_else(|| self.pick(quick, default, full))
+    }
+
+    /// Pick the value (a grid, a horizon, …) for this config's scale.
+    pub fn pick<T>(&self, quick: T, default: T, full: T) -> T {
+        match self.scale {
             Scale::Quick => quick,
             Scale::Default => default,
             Scale::Full => full,
-        })
+        }
     }
 }
 
@@ -237,6 +243,21 @@ pub fn check_table(rep: &CheckReport) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runs_resolution() {
+        let mut cfg = ReproConfig::new(Scale::Full);
+        assert_eq!(cfg.runs(1, 10, 100), 100);
+        cfg.runs_override = Some(7);
+        assert_eq!(cfg.runs(1, 10, 100), 7);
+    }
+
+    #[test]
+    fn pick_by_scale() {
+        let cfg = ReproConfig::new(Scale::Quick);
+        assert_eq!(cfg.pick(vec![1], vec![2], vec![3]), vec![1]);
+        assert_eq!(ReproConfig::new(Scale::Default).pick(1, 2, 3), 2);
+    }
     use churn_experiments::ChurnParams;
     use queueing_experiments::QueueingParams;
 

@@ -10,9 +10,8 @@
 //! * [`stats`] — Welford online mean/variance and summary types.
 //! * [`histogram`] — fixed-bucket integer histograms that merge cheaply.
 //! * [`linreg`] — least-squares fits (incl. log–log scaling exponents).
-//! * [`table`] — Markdown / CSV table emitters used by the bench harnesses.
-//! * [`envcfg`] — tiny environment-variable configuration for bench targets
-//!   (`PABA_RUNS`, `PABA_SEED`, `PABA_SCALE`, …).
+//! * [`table`] — Markdown / CSV table emitters behind every printed table.
+//! * [`envcfg`] — the experiment [`envcfg::Scale`] and default master seed.
 //! * [`json`] — the two shared JSON emission helpers (`escape`, `num`)
 //!   behind every hand-rolled artifact writer.
 //! * [`schema`] — the artifact schema identifiers every writer/reader

@@ -1,9 +1,9 @@
 //! Plain-text table emitters (Markdown and CSV).
 //!
-//! Every bench target prints the same rows/series the paper's figure or
-//! table reports. A tiny hand-rolled builder keeps the output dependency-
-//! free and lets us emit both a human-readable Markdown table (for
-//! `bench_output.txt`) and machine-readable CSV (for replotting).
+//! Every `paba figure` table prints the same rows/series the paper's
+//! figure or table reports. A tiny hand-rolled builder keeps the output
+//! dependency-free and lets us emit both a human-readable Markdown table
+//! and machine-readable CSV (for replotting, under `--csv`).
 
 use std::fmt::Write as _;
 
@@ -133,7 +133,7 @@ impl Table {
 }
 
 /// Format a float with `digits` significant decimal places, trimming to a
-/// compact form (keeps bench output readable).
+/// compact form (keeps table output readable).
 pub fn fmt_f64(x: f64, digits: usize) -> String {
     if !x.is_finite() {
         return format!("{x}");

@@ -57,8 +57,9 @@
 //! # assert!(rep1.max_load() >= 1 && rep2.max_load() >= 1);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/benches/` for
-//! the harnesses regenerating every figure and table of the paper.
+//! See `examples/` for runnable scenarios and `paba figure` (the
+//! `paba_bench::figures` functions) for regenerating every figure and
+//! table of the paper.
 
 pub use paba_ballsbins as ballsbins;
 pub use paba_churn as churn;

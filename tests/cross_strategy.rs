@@ -1,13 +1,8 @@
 //! Statistical cross-strategy orderings — the paper's qualitative claims
 //! as executable assertions (averaged over enough seeds that a correct
 //! implementation fails with negligible probability).
-//!
-//! Seed counts honour `PABA_TEST_RUNS` (see
-//! [`paba::util::envcfg::test_runs`]): defaults are unchanged when unset,
-//! CI's quick tier can lower them, nightly can raise them.
 
 use paba::prelude::*;
-use paba::util::envcfg::test_runs;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -57,7 +52,7 @@ fn run_strategy(
 #[test]
 fn two_choice_balances_better_given_replication() {
     // Well-replicated regime (nM/K = 40): the paper's headline ordering.
-    let runs = test_runs(24);
+    let runs = 24;
     let near = average(runs, |s| run_strategy(s, 20, 50, 5, "nearest", None));
     let two = average(runs, |s| run_strategy(1_000 + s, 20, 50, 5, "two", None));
     assert!(
@@ -71,7 +66,7 @@ fn two_choice_balances_better_given_replication() {
 #[test]
 fn nearest_has_minimal_cost() {
     // No strategy can undercut nearest-replica communication cost.
-    let runs = test_runs(16);
+    let runs = 16;
     let near = average(runs, |s| run_strategy(s, 20, 100, 4, "nearest", None));
     let two_r = average(runs, |s| run_strategy(500 + s, 20, 100, 4, "two", Some(4)));
     let two_inf = average(runs, |s| run_strategy(900 + s, 20, 100, 4, "two", None));
@@ -93,7 +88,7 @@ fn nearest_has_minimal_cost() {
 fn radius_interpolates_cost_monotonically() {
     // Larger radius → more freedom → higher cost (statistically), while
     // max load weakly improves.
-    let runs = test_runs(20);
+    let runs = 20;
     let r2 = average(runs, |s| run_strategy(s, 18, 40, 8, "two", Some(2)));
     let r5 = average(runs, |s| run_strategy(s, 18, 40, 8, "two", Some(5)));
     let rinf = average(runs, |s| run_strategy(s, 18, 40, 8, "two", None));
@@ -107,7 +102,7 @@ fn memory_starved_regime_annihilates_two_choice_gain() {
     // same single replica, so Strategy II degenerates toward Strategy I.
     let side = 20u32;
     let n = side * side;
-    let runs = test_runs(24);
+    let runs = 24;
     let near = average(runs, |s| run_strategy(s, side, n, 1, "nearest", None));
     let two = average(runs, |s| run_strategy(3_000 + s, side, n, 1, "two", None));
     assert!(
@@ -123,7 +118,7 @@ fn strategy_ii_cost_tracks_radius() {
     // Theorem 4's C = Θ(r): doubling r roughly doubles the cost while the
     // ball still has plenty of replicas.
     let side = 30u32;
-    let runs = test_runs(16);
+    let runs = 16;
     let r4 = average(runs, |s| run_strategy(s, side, 20, 10, "two", Some(4)));
     let r8 = average(runs, |s| run_strategy(s, side, 20, 10, "two", Some(8)));
     let ratio = r8.cost / r4.cost;
@@ -136,7 +131,7 @@ fn strategy_ii_cost_tracks_radius() {
 #[test]
 fn full_replication_minimizes_load_among_cache_sizes() {
     // More memory (at fixed K) can only help Strategy II.
-    let runs = test_runs(20);
+    let runs = 20;
     let m1 = average(runs, |s| run_strategy(s, 16, 64, 1, "two", None));
     let m16 = average(runs, |s| run_strategy(7_000 + s, 16, 64, 16, "two", None));
     assert!(
