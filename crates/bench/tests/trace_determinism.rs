@@ -182,7 +182,7 @@ fn reservoir_sample_is_uniform_over_request_indices() {
             rec.request(0, 0, 0, 1, &mut std::iter::empty());
         }
     }
-    let (runs, _) = rec.into_parts();
+    let runs = rec.into_parts();
     let mut counts = [0.0f64; BUCKETS];
     let mut total = 0.0f64;
     for r in &runs {

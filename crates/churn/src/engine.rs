@@ -15,7 +15,7 @@ use paba_core::source::RequestSource;
 use paba_core::{CacheNetwork, Request, SimReport, Strategy};
 use paba_dht::HashRing;
 use paba_popularity::FileId;
-use paba_telemetry::{Counter, Recorder, SpanTimer, Stage};
+use paba_telemetry::{Counter, Recorder};
 use paba_topology::{NodeId, Topology};
 use rand::Rng;
 
@@ -526,7 +526,6 @@ where
     R: Rng + ?Sized,
     Rec: Recorder,
 {
-    let timer = SpanTimer::start(rec, Stage::AssignLoop);
     let mut engine = ChurnEngine::new(net, cfg);
     let mut report = SimReport::new(net.n());
     let events = schedule.events();
@@ -551,6 +550,5 @@ where
         }
     }
     debug_assert!(report.check_conservation());
-    timer.stop(rec);
     (report, engine.into_report())
 }

@@ -46,8 +46,8 @@ USAGE:
                                       provenance-checked markdown report
   paba help                           show this text
 
-Output paths (--telemetry-out, --events-out, --series-out, --chrome-out)
-accept '-' to mean stdout, e.g. for piping into jq.
+Output paths (--telemetry-out, --events-out, --series-out) accept '-'
+to mean stdout, e.g. for piping into jq.
 
 SIMULATE OPTIONS (defaults in parentheses):
   --side N          torus side, n = side^2 (45)
@@ -63,10 +63,10 @@ SIMULATE OPTIONS (defaults in parentheses):
   --runs R          Monte-Carlo runs (20)
   --seed S          master seed (20170529)
   --csv             emit CSV instead of a table
-  --telemetry       record sampler-path/timing telemetry and print the breakdown
+  --telemetry       record sampler-path telemetry and print the breakdown
   --telemetry-out PATH  also write the merged snapshot as JSON (implies --telemetry)
-  --serve-metrics ADDR  serve live Prometheus metrics (sampler paths, span
-                    timings, progress, allocator stats) at
+  --serve-metrics ADDR  serve live Prometheus metrics (sampler paths,
+                    event counters, progress, allocator stats) at
                     http://ADDR/metrics for the duration of the run;
                     ADDR like 127.0.0.1:9464 (port 0 = ephemeral, the
                     bound address is printed to stderr)
@@ -80,7 +80,6 @@ SIMULATE OPTIONS (defaults in parentheses):
   --max-events E    ring-buffer bound per run for --sample mode (4096)
   --events-out PATH JSONL event dump ('-' = stdout, 'none' skips; none)
   --series-out PATH paba-trace-series/1 JSON ('-' = stdout; none)
-  --chrome-out PATH Chrome Trace Format spans for Perfetto ('-'; none)
 
 WORKLOAD OPTIONS (with `paba simulate --workload ...` or `paba workload generate`):
   --hotspots H      number of hotspot centers (4)
@@ -193,7 +192,6 @@ const TRACE_KEYS: &[&str] = &[
     "max-events",
     "events-out",
     "series-out",
-    "chrome-out",
 ];
 
 /// Workload-family option keys shared by `simulate` and `workload generate`.
@@ -681,7 +679,7 @@ fn simulate_summary(a: &Args, out: &SimOutcome) -> String {
 /// `paba simulate` with printing and the requested output files.
 pub fn simulate(a: &Args) -> Result<(), String> {
     let out = simulate_cmd_impl(a)?;
-    let outputs = ["telemetry-out", "events-out", "series-out", "chrome-out"];
+    let outputs = ["telemetry-out", "events-out", "series-out"];
     // When an artifact goes to stdout the human summary moves to stderr,
     // so `paba simulate --events-out - | jq` sees pure JSON.
     let text = simulate_summary(a, &out);
@@ -729,9 +727,6 @@ pub fn simulate(a: &Args) -> Result<(), String> {
             ),
         );
         write_output(path, &report.series_json(&provenance), "load time series")?;
-    }
-    if let Some(path) = target("chrome-out") {
-        write_output(path, &report.chrome_json(), "Chrome trace")?;
     }
     Ok(())
 }
@@ -1309,6 +1304,7 @@ mod tests {
             ("simulate --sid 8", "sid"),
             ("simulate --grid", "grid"),
             ("simulate --trace-out t.jsonl", "trace-out"),
+            ("simulate --chrome-out x.json", "chrome-out"),
         ] {
             let err = simulate_cmd_impl(&args(argv)).unwrap_err();
             assert!(err.starts_with("unknown option"), "{argv}: {err}");
@@ -1463,7 +1459,7 @@ mod tests {
         ));
         simulate(&a).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"schema\": \"paba-telemetry/1\""));
+        assert!(json.contains("\"schema\": \"paba-telemetry/2\""));
         assert!(json.contains("\"sampler_paths\""));
         std::fs::remove_file(&path).ok();
     }
@@ -1924,13 +1920,11 @@ mod tests {
         let dir = scratch("trace_outputs");
         let events = dir.join("events.jsonl");
         let series = dir.join("series.json");
-        let chrome = dir.join("chrome.json");
         let a = args(&format!(
             "simulate --side 6 --files 12 --cache 2 --runs 2 --sample 4 --stride 16 --csv \
-             --events-out {} --series-out {} --chrome-out {}",
+             --events-out {} --series-out {}",
             events.display(),
-            series.display(),
-            chrome.display()
+            series.display()
         ));
         simulate(&a).unwrap();
         // Every JSONL line is a standalone JSON object.
@@ -1953,43 +1947,23 @@ mod tests {
             .unwrap();
         assert_eq!(runs.len(), 2);
         assert!(doc.get("mean").is_some());
-        // The Chrome trace is a trace_event document with complete events.
-        let ct = parse_file(&chrome);
-        let evs = ct
-            .get("traceEvents")
-            .and_then(paba_repro::json::Json::as_arr)
-            .unwrap();
-        assert!(!evs.is_empty());
-        for e in evs {
-            assert_eq!(
-                e.get("ph").and_then(paba_repro::json::Json::as_str),
-                Some("X")
-            );
-        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn simulate_writes_every_requested_output() {
-        // Telemetry and all three trace outputs from one run: each file
-        // must exist and parse, and none may be dropped silently.
+        // Telemetry and both trace outputs from one run: each file must
+        // exist and parse, and none may be dropped silently.
         let dir = scratch("all_outputs");
-        let [t, e, s, c] = [
-            "telemetry.json",
-            "events.jsonl",
-            "series.json",
-            "chrome.json",
-        ]
-        .map(|f| dir.join(f));
+        let [t, e, s] = ["telemetry.json", "events.jsonl", "series.json"].map(|f| dir.join(f));
         // side 6: 36 requests per run; every 4th sampled gives 9 per run,
         // of which a 4-event ring keeps the last 4 and evicts 5.
         let a = args(&format!(
             "simulate --side 6 --files 12 --cache 2 --runs 2 --sample 4 --max-events 4 \
-             --telemetry-out {} --events-out {} --series-out {} --chrome-out {}",
+             --telemetry-out {} --events-out {} --series-out {}",
             t.display(),
             e.display(),
-            s.display(),
-            c.display()
+            s.display()
         ));
         simulate(&a).unwrap();
         let telemetry = parse_file(&t);
@@ -1997,7 +1971,7 @@ mod tests {
             telemetry
                 .get("schema")
                 .and_then(paba_repro::json::Json::as_str),
-            Some("paba-telemetry/1")
+            Some("paba-telemetry/2")
         );
         assert_eq!(
             telemetry
@@ -2011,7 +1985,6 @@ mod tests {
             paba_repro::json::parse(line).expect("event line parses");
         }
         parse_file(&s);
-        parse_file(&c);
         // The summary reports what the buffers kept and what they evicted.
         let summary = simulate_summary(&a, &simulate_cmd_impl(&a).unwrap());
         assert!(

@@ -3,7 +3,7 @@
 //! ```text
 //! paba simulate --side 45 --files 500 --cache 20 --strategy two-choice --radius 8 --runs 50
 //! paba simulate --workload flash-crowd --flash-file 0 --flash-boost 80 --runs 20
-//! paba simulate --side 20 --runs 4 --stride 64 --chrome-out trace.json
+//! paba simulate --side 20 --runs 4 --stride 64 --series-out series.json
 //! paba queue    --side 24 --lambda 0.9 --radius 4 --choices 2
 //! paba ballsbins --process two --bins 4096 --balls 4096 --runs 20
 //! paba workload generate --workload hotspot --out hotspot.trace --requests 100000

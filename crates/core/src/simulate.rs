@@ -9,7 +9,7 @@ use crate::metrics::SimReport;
 use crate::network::CacheNetwork;
 use crate::source::{IidUniform, RequestSource};
 use crate::strategy::Strategy;
-use paba_telemetry::{NullRecorder, Recorder, SpanTimer, Stage};
+use paba_telemetry::{NullRecorder, Recorder};
 use paba_topology::Topology;
 use rand::Rng;
 
@@ -51,16 +51,14 @@ where
     simulate_source_profiled(net, strategy, source, requests, rng, &NullRecorder)
 }
 
-/// The request loop every entry point runs, with stage-level span timing
-/// and per-request load observation: the whole loop runs inside a
-/// [`Stage::AssignLoop`] span on `rec`, and after each request is
-/// recorded `rec` observes the full load vector via [`Recorder::loads`]
-/// (feeding load-evolution time series; a no-op for recorders that don't
-/// collect them).
+/// The request loop every entry point runs, with per-request load
+/// observation: after each request is recorded, `rec` observes the full
+/// load vector via [`Recorder::loads`] (feeding load-evolution time
+/// series; a no-op for recorders that don't collect them).
 ///
-/// The recorder passed here times the loop and watches loads; to
-/// additionally count sampler paths the *strategy* must carry a recorder
-/// too (see `ProximityChoice::with_recorder`) — typically the same one.
+/// The recorder passed here only watches loads; to count sampler paths
+/// the *strategy* must carry a recorder too (see
+/// `ProximityChoice::with_recorder`) — typically the same one.
 pub fn simulate_source_profiled<T, S, W, R, Rec>(
     net: &CacheNetwork<T>,
     strategy: &mut S,
@@ -76,7 +74,6 @@ where
     R: Rng + ?Sized,
     Rec: Recorder,
 {
-    let timer = SpanTimer::start(rec, Stage::AssignLoop);
     let mut report = SimReport::new(net.n());
     for i in 0..requests {
         let req = source.next_request(net, rng);
@@ -87,7 +84,6 @@ where
         }
     }
     debug_assert!(report.check_conservation());
-    timer.stop(rec);
     report
 }
 

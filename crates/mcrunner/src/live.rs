@@ -98,7 +98,7 @@ impl LiveRun {
 mod tests {
     use super::*;
     use crate::runner::run_parallel_with_state;
-    use paba_telemetry::{Recorder, SamplerPath, Stage};
+    use paba_telemetry::{Counter, Recorder, SamplerPath};
     use rand::rngs::SmallRng;
     use rand::Rng;
 
@@ -127,11 +127,11 @@ mod tests {
     #[test]
     fn workers_share_one_recorder_and_tick_progress() {
         let live = LiveRun::new(40, false);
-        let out = run_live(40, 11, 4, &live, |rec, i, rng| {
+        let out = run_live(40, 11, 4, &live, |rec, i, _rng| {
             for _ in 0..10 {
                 rec.path(SamplerPath::Windowed);
             }
-            rec.span_ns(Stage::AssignLoop, rng.gen_range(1..1000));
+            rec.count(Counter::ChurnEvent, 1);
             i
         });
         assert_eq!(out, (0..40).collect::<Vec<_>>());
@@ -139,7 +139,7 @@ mod tests {
         assert_eq!(live.recorders.lock().unwrap().len(), 4, "one per worker");
         let snap = live.snapshot();
         assert_eq!(snap.path_count(SamplerPath::Windowed), 400);
-        assert_eq!(snap.span(Stage::AssignLoop).count, 40);
+        assert_eq!(snap.counter(Counter::ChurnEvent), 40);
     }
 
     #[test]

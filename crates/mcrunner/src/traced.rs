@@ -10,12 +10,8 @@
 //! `(run index, request counter)` — never on the thread — the merged
 //! event streams and time series are bit-identical across thread counts.
 //!
-//! All recorders share one epoch `Instant`, so their wall-clock span
-//! events land on a common Chrome-trace timeline. With a [`LiveRun`],
-//! each worker registers its recorder's embedded aggregate, so a scrape
-//! sees the counters mid-run.
-
-use std::time::Instant;
+//! With a [`LiveRun`], each worker registers its recorder's embedded
+//! aggregate, so a scrape sees the counters mid-run.
 
 use rand::rngs::SmallRng;
 
@@ -44,7 +40,6 @@ where
     O: Send,
     F: Fn(&TraceRecorder, usize, &mut SmallRng) -> O + Sync,
 {
-    let epoch = Instant::now();
     let cfg = &cfg;
     let (outputs, states) = run_parallel_with_state(
         runs,
@@ -52,7 +47,7 @@ where
         threads,
         live.map(|l| l.progress.as_ref()),
         move || {
-            let rec = TraceRecorder::with_epoch(cfg.clone(), epoch);
+            let rec = TraceRecorder::new(cfg.clone());
             if let Some(l) = live {
                 l.register(rec.aggregate());
             }

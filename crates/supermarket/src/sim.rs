@@ -298,6 +298,13 @@ where
             }
         }
     }
+    // Conservation: the lengths handed to the strategy mirror the FIFOs,
+    // and exactly the busy servers have one pending departure each.
+    debug_assert!(queues
+        .iter()
+        .zip(&lens)
+        .all(|(q, &l)| q.len() == l as usize));
+    debug_assert!(departures.len() == lens.iter().filter(|&&l| l > 0).count());
 
     let window = cfg.horizon - cfg.warmup;
     let tail: Vec<f64> = acc

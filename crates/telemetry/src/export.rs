@@ -1,13 +1,11 @@
 //! Trace exporters — hand-rolled JSON, no new dependencies.
 //!
-//! Three formats:
+//! Two formats:
 //!
 //! * [`events_jsonl`] — one JSON object per line per sampled event;
 //!   greppable and `jq`-friendly.
 //! * [`series_json`] — the `paba-trace-series/1` artifact: per-run load
 //!   trajectories plus their pointwise mean.
-//! * [`chrome_trace`] — Chrome Trace Format (`trace_event` complete
-//!   events, `"ph": "X"`), loadable in Perfetto / `chrome://tracing`.
 //!
 //! The writers only use `format!`; the matching reader for round-trip
 //! tests is `paba_repro::json`.
@@ -16,7 +14,7 @@ use paba_util::json::escape;
 use paba_util::Provenance;
 
 use crate::timeseries::LoadSeries;
-use crate::trace::{RunTrace, SpanEvent, TraceEvent, TraceReport};
+use crate::trace::{RunTrace, TraceEvent, TraceReport};
 
 /// One event as a single-line JSON object.
 pub fn event_json(e: &TraceEvent) -> String {
@@ -81,30 +79,6 @@ pub fn series_json(runs: &[RunTrace], mean: &LoadSeries, provenance: &Provenance
     )
 }
 
-/// Chrome Trace Format document for the stage spans.
-///
-/// Complete events (`"ph": "X"`) with microsecond `ts`/`dur`; each run
-/// gets its own `tid` lane (spans outside any run land on `tid` 0).
-pub fn chrome_trace(spans: &[SpanEvent]) -> String {
-    let events: Vec<String> = spans
-        .iter()
-        .map(|s| {
-            let tid = s.run.map(|r| r + 1).unwrap_or(0);
-            format!(
-                "    {{\"name\": \"{}\", \"cat\": \"stage\", \"ph\": \"X\", \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}}}",
-                escape(s.stage.label()),
-                s.ts_ns as f64 / 1_000.0,
-                s.dur_ns as f64 / 1_000.0,
-                tid
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"traceEvents\": [\n{}\n  ],\n  \"displayTimeUnit\": \"ms\"\n}}\n",
-        events.join(",\n")
-    )
-}
-
 impl TraceReport {
     /// JSONL dump of all retained events (see [`events_jsonl`]).
     pub fn events_jsonl(&self) -> String {
@@ -115,17 +89,12 @@ impl TraceReport {
     pub fn series_json(&self, provenance: &Provenance) -> String {
         series_json(&self.runs, &self.mean_series(), provenance)
     }
-
-    /// Chrome Trace Format document (see [`chrome_trace`]).
-    pub fn chrome_json(&self) -> String {
-        chrome_trace(&self.spans)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{SamplerPath, Stage};
+    use crate::events::SamplerPath;
 
     fn event() -> TraceEvent {
         TraceEvent {
@@ -172,28 +141,5 @@ mod tests {
         assert!(doc.contains("\"schema\": \"paba-trace-series/1\""));
         assert!(doc.contains("\"provenance\": {\"schema\": \"paba-trace-series/1\""));
         assert!(doc.contains("\"seed\": 9"));
-    }
-
-    #[test]
-    fn chrome_trace_has_complete_events() {
-        let spans = [SpanEvent {
-            stage: Stage::AssignLoop,
-            run: Some(0),
-            ts_ns: 2_500,
-            dur_ns: 1_000,
-        }];
-        let doc = chrome_trace(&spans);
-        assert!(doc.contains("\"traceEvents\""));
-        assert!(doc.contains("\"ph\": \"X\""));
-        assert!(doc.contains("\"name\": \"assign-loop\""));
-        assert!(doc.contains("\"ts\": 2.500"));
-        assert!(doc.contains("\"dur\": 1.000"));
-        assert!(doc.contains("\"tid\": 1"));
-    }
-
-    #[test]
-    fn empty_chrome_trace_is_still_a_document() {
-        let doc = chrome_trace(&[]);
-        assert!(doc.contains("\"traceEvents\": [\n\n  ]"));
     }
 }

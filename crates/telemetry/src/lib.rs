@@ -15,17 +15,14 @@
 //!   compiles to exactly the uninstrumented machine code. The
 //!   benchmark's `requests_per_s` no-regression bound (`perfbench/`,
 //!   which runs the NullRecorder loop) keeps that claim honest.
-//! * [`AtomicRecorder`] — relaxed per-event atomic counters plus log₂-
-//!   bucket span histograms. Shareable across threads by reference; the
-//!   Monte-Carlo runner gives each worker thread its own instance and
-//!   merges [`TelemetrySnapshot`]s after join, so parallel determinism of
-//!   the simulation itself is untouched.
-//! * [`SpanTimer`] — monotonic-clock stage timers (placement build, assign
-//!   loop, metrics merge) that skip the clock read entirely when the
-//!   recorder is disabled.
+//! * [`AtomicRecorder`] — relaxed per-event atomic counters and a
+//!   candidate-pool size histogram. Shareable across threads by
+//!   reference; the Monte-Carlo runner gives each worker thread its own
+//!   instance and merges [`TelemetrySnapshot`]s after join, so parallel
+//!   determinism of the simulation itself is untouched.
 //! * [`TelemetrySnapshot`] — a plain-data view with associative
 //!   [`TelemetrySnapshot::merge`], JSON serialization for the
-//!   `paba-telemetry/1` snapshot, and a human-readable table.
+//!   `paba-telemetry/2` snapshot, and a human-readable table.
 //!
 //! On top of the aggregate counters sits the *time-resolved* layer:
 //!
@@ -33,8 +30,8 @@
 //!   reservoir, deterministic per run) plus a per-run load-evolution
 //!   [`LoadSeries`], merged scheduling-independently via
 //!   [`TraceReport::collect`].
-//! * [`export`] — JSONL event dumps, the `paba-trace-series/1` artifact,
-//!   and Chrome Trace Format spans loadable in Perfetto.
+//! * [`export`] — JSONL event dumps and the `paba-trace-series/1`
+//!   artifact.
 //!
 //! And the *live* layer added for operational visibility:
 //!
@@ -57,10 +54,8 @@ pub mod trace;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use events::{Counter, SamplerPath, Stage};
-pub use recorder::{AtomicRecorder, NullRecorder, Recorder, SpanTimer, POOL_SIZE_BUCKETS};
+pub use recorder::{AtomicRecorder, NullRecorder, Recorder, POOL_SIZE_BUCKETS};
 pub use serve::{MetricsServer, ProgressView};
-pub use snapshot::{SpanSummary, TelemetrySnapshot};
+pub use snapshot::TelemetrySnapshot;
 pub use timeseries::{LoadSeries, SeriesPoint};
-pub use trace::{
-    RunTrace, Sampling, SpanEvent, TraceConfig, TraceEvent, TraceRecorder, TraceReport,
-};
+pub use trace::{RunTrace, Sampling, TraceConfig, TraceEvent, TraceRecorder, TraceReport};

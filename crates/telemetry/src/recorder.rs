@@ -4,16 +4,15 @@
 //! monomorphizes one copy per recorder type. With [`NullRecorder`] every
 //! event call is an empty inlined body and [`Recorder::ENABLED`] is a
 //! compile-time `false` — any bookkeeping needed *only* to feed the
-//! recorder (attempt tallies, clock reads) should be guarded by
+//! recorder (attempt tallies) should be guarded by
 //! `Rec::ENABLED` so the optimizer deletes it outright.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use paba_util::Histogram;
 
 use crate::events::{Counter, SamplerPath, Stage};
-use crate::snapshot::{SpanSummary, TelemetrySnapshot};
+use crate::snapshot::TelemetrySnapshot;
 
 /// Event sink for hot-path instrumentation.
 ///
@@ -33,8 +32,12 @@ pub trait Recorder {
     /// Record the size of one materialized candidate pool.
     fn pool_size(&self, size: usize);
 
-    /// Record an elapsed span of `nanos` nanoseconds for `stage`.
-    fn span_ns(&self, stage: Stage, nanos: u64);
+    /// Uncallable stub: [`Stage`] is uninhabited. It stays only so a
+    /// recorder outside this workspace that still overrides it keeps
+    /// compiling, and goes together with [`Stage`].
+    fn span_ns(&self, stage: Stage, _nanos: u64) {
+        match stage {}
+    }
 
     /// Record the outcome of one assignment: file id, requesting origin,
     /// chosen server, hop distance, and the `(node, load)` candidates the
@@ -79,11 +82,6 @@ impl<R: Recorder + ?Sized> Recorder for &R {
         (**self).pool_size(size);
     }
 
-    #[inline(always)]
-    fn span_ns(&self, stage: Stage, nanos: u64) {
-        (**self).span_ns(stage, nanos);
-    }
-
     // The two default-body hooks must be forwarded explicitly: a default
     // body on `&R` would silently swallow events instead of delegating to
     // the underlying recorder.
@@ -123,9 +121,6 @@ impl Recorder for NullRecorder {
     fn pool_size(&self, _size: usize) {}
 
     #[inline(always)]
-    fn span_ns(&self, _stage: Stage, _nanos: u64) {}
-
-    #[inline(always)]
     fn request(
         &self,
         _file: u64,
@@ -146,53 +141,6 @@ impl Recorder for NullRecorder {
 /// everything we have ever observed with room to spare.
 pub const POOL_SIZE_BUCKETS: usize = 512;
 
-/// log₂ span buckets: bucket 0 holds the value 0, bucket `b ≥ 1` holds
-/// `[2^(b-1), 2^b)`. `log2_bucket(u64::MAX) = 64`, hence 65 buckets.
-const SPAN_BUCKETS: usize = 65;
-
-/// Per-stage span aggregate: log₂ latency buckets plus exact sum/max/count
-/// so means stay exact even though quantiles are bucketed.
-#[derive(Debug)]
-struct SpanCell {
-    buckets: [AtomicU64; SPAN_BUCKETS],
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl SpanCell {
-    fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, nanos: u64) {
-        let b = Histogram::log2_bucket(nanos);
-        self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(nanos, Ordering::Relaxed);
-        self.max_ns.fetch_max(nanos, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn summary(&self, stage: Stage) -> SpanSummary {
-        let mut buckets = Histogram::with_capacity(SPAN_BUCKETS);
-        for (b, cell) in self.buckets.iter().enumerate() {
-            buckets.record_n(b, cell.load(Ordering::Relaxed));
-        }
-        SpanSummary {
-            stage,
-            buckets,
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-            count: self.count.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Relaxed atomic event counters, shareable across threads by reference.
 ///
 /// All loads/stores are `Relaxed`: counters are independent monotonic
@@ -203,7 +151,6 @@ pub struct AtomicRecorder {
     paths: [AtomicU64; SamplerPath::COUNT],
     counters: [AtomicU64; Counter::COUNT],
     pool_sizes: Vec<AtomicU64>,
-    spans: [SpanCell; Stage::COUNT],
 }
 
 impl AtomicRecorder {
@@ -213,7 +160,6 @@ impl AtomicRecorder {
             paths: std::array::from_fn(|_| AtomicU64::new(0)),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             pool_sizes: (0..POOL_SIZE_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            spans: std::array::from_fn(|_| SpanCell::new()),
         }
     }
 
@@ -231,10 +177,6 @@ impl AtomicRecorder {
             paths: std::array::from_fn(|i| self.paths[i].load(Ordering::Relaxed)),
             counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
             pool_sizes,
-            spans: Stage::ALL
-                .iter()
-                .map(|&s| self.spans[s as usize].summary(s))
-                .collect(),
         }
     }
 }
@@ -263,43 +205,6 @@ impl Recorder for AtomicRecorder {
         let bucket = size.min(POOL_SIZE_BUCKETS - 1);
         self.pool_sizes[bucket].fetch_add(1, Ordering::Relaxed);
     }
-
-    #[inline]
-    fn span_ns(&self, stage: Stage, nanos: u64) {
-        self.spans[stage as usize].record(nanos);
-    }
-}
-
-/// Monotonic-clock stage timer.
-///
-/// The clock is read only when the recorder is enabled — with
-/// [`NullRecorder`] both `start` and `stop` compile to nothing.
-#[derive(Debug)]
-#[must_use = "a span timer records nothing until stopped"]
-pub struct SpanTimer {
-    start: Option<Instant>,
-    stage: Stage,
-}
-
-impl SpanTimer {
-    /// Begin timing `stage`. The recorder is only consulted for its
-    /// compile-time `ENABLED` flag here; the event fires on [`Self::stop`].
-    #[inline]
-    pub fn start<R: Recorder>(_rec: &R, stage: Stage) -> Self {
-        Self {
-            start: R::ENABLED.then(Instant::now),
-            stage,
-        }
-    }
-
-    /// Stop the timer and record the elapsed span.
-    #[inline]
-    pub fn stop<R: Recorder>(self, rec: &R) {
-        if let Some(t0) = self.start {
-            let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            rec.span_ns(self.stage, nanos);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -323,7 +228,6 @@ mod tests {
         rec.count(Counter::RejectionBudgetExhausted, 3);
         rec.pool_size(7);
         rec.pool_size(POOL_SIZE_BUCKETS + 100); // overflow bucket
-        rec.span_ns(Stage::AssignLoop, 1000);
         let snap = rec.snapshot();
         assert_eq!(snap.paths[SamplerPath::Windowed as usize], 2);
         assert_eq!(snap.paths[SamplerPath::ExactScan as usize], 1);
@@ -331,11 +235,6 @@ mod tests {
         assert_eq!(snap.pool_sizes.count(7), 1);
         assert_eq!(snap.pool_sizes.count(POOL_SIZE_BUCKETS - 1), 1);
         assert_eq!(snap.total_requests(), 3);
-        let span = &snap.spans[Stage::AssignLoop as usize];
-        assert_eq!(span.count, 1);
-        assert_eq!(span.sum_ns, 1000);
-        assert_eq!(span.max_ns, 1000);
-        assert_eq!(span.buckets.count(Histogram::log2_bucket(1000)), 1);
     }
 
     #[test]
@@ -367,21 +266,5 @@ mod tests {
         assert_eq!(snap.paths[SamplerPath::RejectionReplica as usize], 4000);
         assert_eq!(snap.pool_sizes.total(), 4000);
         assert_eq!(snap.counters[Counter::CachesBitmap as usize], 8000);
-    }
-
-    #[test]
-    fn span_timer_records_only_when_enabled() {
-        let rec = AtomicRecorder::new();
-        let t = SpanTimer::start(&rec, Stage::PlacementBuild);
-        t.stop(&rec);
-        assert_eq!(
-            rec.snapshot().spans[Stage::PlacementBuild as usize].count,
-            1
-        );
-
-        // Null: no clock read, no record; just must compile and run.
-        let t = SpanTimer::start(&NullRecorder, Stage::PlacementBuild);
-        assert!(t.start.is_none());
-        t.stop(&NullRecorder);
     }
 }

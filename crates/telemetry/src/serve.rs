@@ -1,12 +1,12 @@
 //! Live `/metrics` exposition — std-only Prometheus text format 0.0.4.
 //!
-//! Long runs (ROADMAP item 3 targets 10⁷–10⁸-node simulations) should be
-//! observable *while they run*, not only from the artifact written at the
-//! end. [`MetricsServer`] binds a `std::net::TcpListener` on a scrape
-//! thread and answers `GET /metrics` by calling a render closure the
-//! caller composes (typically `paba_mcrunner::LiveRun::render_metrics`:
-//! the merged snapshot of every worker's [`crate::AtomicRecorder`] plus
-//! runner progress); `GET /healthz` answers `ok`.
+//! Long runs should be observable *while they run*, not only from the
+//! artifact written at the end. [`MetricsServer`] binds a
+//! `std::net::TcpListener` on a scrape thread and answers `GET /metrics`
+//! by calling a render closure the caller composes (typically
+//! `paba_mcrunner::LiveRun::render_metrics`: the merged snapshot of every
+//! worker's [`crate::AtomicRecorder`] plus runner progress);
+//! `GET /healthz` answers `ok`.
 //!
 //! The server is strictly additive: nothing in the hot path knows it
 //! exists. When `--serve-metrics` is absent no listener is bound, the
@@ -16,11 +16,9 @@
 //!
 //! [`render_metrics`] is the shared renderer: one pass over a
 //! [`TelemetrySnapshot`] (sampler-path counters, auxiliary counters,
-//! pool sizes, span histograms), an optional [`ProgressView`], and
-//! optional allocator stats ([`crate::alloc`]), emitted as conformant
-//! metric families — every family gets `# HELP`/`# TYPE`, counters end
-//! in `_total`, histograms emit cumulative `_bucket{le=…}`/`_sum`/
-//! `_count` series.
+//! pool sizes), an optional [`ProgressView`], and optional allocator
+//! stats ([`crate::alloc`]), emitted as conformant metric families —
+//! every family gets `# HELP`/`# TYPE` and counters end in `_total`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -194,47 +192,6 @@ pub fn render_metrics(
         &[],
         &snap.pool_sizes.total().to_string(),
     );
-
-    p.family(
-        "paba_stage_duration_seconds",
-        "histogram",
-        "Stage span durations (log2-bucketed nanoseconds, upper bounds in seconds).",
-    );
-    for span in &snap.spans {
-        let stage = span.stage.label();
-        let mut cumulative = 0u64;
-        for (bucket, count) in span.buckets.iter() {
-            cumulative += count;
-            // Bucket 0 holds the value 0 ns; bucket b >= 1 covers
-            // [2^(b-1), 2^b) ns, so 2^b ns is its inclusive-enough upper
-            // bound once converted to seconds.
-            let le = if bucket == 0 {
-                0.0
-            } else {
-                (1u64 << bucket.min(63)) as f64 / 1e9
-            };
-            p.sample(
-                "paba_stage_duration_seconds_bucket",
-                &[("stage", stage), ("le", &fmt_f64(le))],
-                &cumulative.to_string(),
-            );
-        }
-        p.sample(
-            "paba_stage_duration_seconds_bucket",
-            &[("stage", stage), ("le", "+Inf")],
-            &span.count.to_string(),
-        );
-        p.sample(
-            "paba_stage_duration_seconds_sum",
-            &[("stage", stage)],
-            &fmt_f64(span.sum_ns as f64 / 1e9),
-        );
-        p.sample(
-            "paba_stage_duration_seconds_count",
-            &[("stage", stage)],
-            &span.count.to_string(),
-        );
-    }
 
     if let Some(pr) = progress {
         p.family(
@@ -450,7 +407,6 @@ fn serve_connection<F: Fn() -> String>(mut stream: TcpStream, render: &F) -> std
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::Stage;
     use crate::recorder::{AtomicRecorder, Recorder};
 
     fn busy_recorder() -> AtomicRecorder {
@@ -460,8 +416,6 @@ mod tests {
         rec.path(SamplerPath::Windowed);
         rec.count(Counter::RejectionBudgetExhausted, 5);
         rec.pool_size(12);
-        rec.span_ns(Stage::AssignLoop, 1_500);
-        rec.span_ns(Stage::AssignLoop, 0);
         rec
     }
 
@@ -539,40 +493,11 @@ mod tests {
             let Some((name, _, _)) = parse_line(line) else {
                 continue;
             };
-            let family = name
-                .strip_suffix("_bucket")
-                .or_else(|| name.strip_suffix("_sum"))
-                .or_else(|| name.strip_suffix("_count"))
-                .unwrap_or(&name);
             assert!(
-                declared.contains(family) || declared.contains(&name),
+                declared.contains(&name),
                 "sample {name} has no TYPE declaration"
             );
         }
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative_and_capped_by_inf() {
-        let rec = AtomicRecorder::new();
-        for ns in [0u64, 100, 1_000, 1_000_000, 1_000_000] {
-            rec.span_ns(Stage::AssignLoop, ns);
-        }
-        let page = render_metrics(&rec.snapshot(), None, None);
-        let mut last = 0u64;
-        let mut saw_inf = false;
-        for line in page.lines() {
-            if line.starts_with("paba_stage_duration_seconds_bucket{stage=\"assign-loop\"") {
-                let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-                assert!(v >= last, "buckets must be cumulative: {line}");
-                last = v;
-                if line.contains("le=\"+Inf\"") {
-                    saw_inf = true;
-                    assert_eq!(v, 5);
-                }
-            }
-        }
-        assert!(saw_inf, "+Inf bucket present");
-        assert!(page.contains("paba_stage_duration_seconds_count{stage=\"assign-loop\"} 5"));
     }
 
     #[test]
@@ -600,13 +525,12 @@ mod tests {
         rec.path(SamplerPath::Windowed);
         rec.path(SamplerPath::ExactScan);
         rec.count(Counter::CachesBitmap, 3);
-        rec.span_ns(Stage::MetricsMerge, 10);
         let second = render_metrics(&rec.snapshot(), None, None);
 
         let counters = |page: &str| -> std::collections::HashMap<String, f64> {
             page.lines()
                 .filter_map(parse_line)
-                .filter(|(n, _, _)| n.ends_with("_total") || n.ends_with("_count"))
+                .filter(|(n, _, _)| n.ends_with("_total"))
                 .map(|(n, l, v)| (format!("{n}{{{l}}}"), v.parse::<f64>().unwrap()))
                 .collect()
         };

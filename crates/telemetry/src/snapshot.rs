@@ -3,82 +3,14 @@
 //! [`TelemetrySnapshot`] is what crosses thread and artifact boundaries:
 //! the Monte-Carlo runner snapshots each worker's [`crate::AtomicRecorder`]
 //! after join and folds them with [`TelemetrySnapshot::merge`] (associative
-//! and commutative — u64 additions, histogram merges, and a max — so the
+//! and commutative — u64 additions and histogram merges — so the
 //! fold order never changes the result). The JSON form is the `telemetry`
-//! payload of the `paba-telemetry/1` snapshot (`paba simulate
+//! payload of the `paba-telemetry/2` snapshot (`paba simulate
 //! --telemetry-out`).
 
 use paba_util::{Align, Histogram, Table};
 
-use crate::events::{Counter, SamplerPath, Stage};
-
-/// Aggregated span timings for one [`Stage`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanSummary {
-    /// The stage these spans timed.
-    pub stage: Stage,
-    /// log₂ latency buckets (see [`Histogram::log2_bucket`]): bucket 0 is
-    /// the value 0, bucket `b ≥ 1` covers `[2^(b-1), 2^b)` nanoseconds.
-    pub buckets: Histogram,
-    /// Exact sum of recorded nanoseconds (means stay exact despite the
-    /// bucketed quantiles).
-    pub sum_ns: u64,
-    /// Largest recorded span.
-    pub max_ns: u64,
-    /// Number of recorded spans.
-    pub count: u64,
-}
-
-impl SpanSummary {
-    /// Empty summary for `stage`.
-    pub fn empty(stage: Stage) -> Self {
-        Self {
-            stage,
-            buckets: Histogram::new(),
-            sum_ns: 0,
-            max_ns: 0,
-            count: 0,
-        }
-    }
-
-    /// Fold another summary for the same stage into `self`.
-    pub fn merge(&mut self, other: &SpanSummary) {
-        assert_eq!(self.stage, other.stage, "merging spans of different stages");
-        self.buckets.merge(&other.buckets);
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.count += other.count;
-    }
-
-    /// Exact mean span in nanoseconds (`NaN` when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Bucketed `q`-quantile, reported as the lower bound of the bucket at
-    /// the cut (`None` when empty). A resolution of one binary order of
-    /// magnitude is plenty for "where does the time go" profiles.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        let b = self.buckets.quantile(q)?;
-        Some(if b == 0 { 0 } else { 1u64 << (b - 1) })
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            self.count,
-            self.sum_ns,
-            json_f64(self.mean_ns()),
-            json_opt_u64(self.quantile_ns(0.5)),
-            json_opt_u64(self.quantile_ns(0.99)),
-            self.max_ns,
-        )
-    }
-}
+use crate::events::{Counter, SamplerPath};
 
 /// A plain-data view of everything one recorder observed.
 #[derive(Clone, Debug, PartialEq)]
@@ -89,8 +21,6 @@ pub struct TelemetrySnapshot {
     pub counters: [u64; Counter::COUNT],
     /// Exact histogram of materialized candidate-pool sizes.
     pub pool_sizes: Histogram,
-    /// Span summaries, one per [`Stage`], indexed by discriminant.
-    pub spans: Vec<SpanSummary>,
 }
 
 impl TelemetrySnapshot {
@@ -100,7 +30,6 @@ impl TelemetrySnapshot {
             paths: [0; SamplerPath::COUNT],
             counters: [0; Counter::COUNT],
             pool_sizes: Histogram::new(),
-            spans: Stage::ALL.iter().map(|&s| SpanSummary::empty(s)).collect(),
         }
     }
 
@@ -113,9 +42,6 @@ impl TelemetrySnapshot {
             *dst += src;
         }
         self.pool_sizes.merge(&other.pool_sizes);
-        for (dst, src) in self.spans.iter_mut().zip(other.spans.iter()) {
-            dst.merge(src);
-        }
     }
 
     /// Total requests observed: the sum over sampler paths (each assign
@@ -134,13 +60,8 @@ impl TelemetrySnapshot {
         self.counters[counter as usize]
     }
 
-    /// Span summary for one stage.
-    pub fn span(&self, stage: Stage) -> &SpanSummary {
-        &self.spans[stage as usize]
-    }
-
-    /// JSON object with `sampler_paths`, `counters`, `pool_sizes`, and
-    /// `spans` fields — the payload of `paba-telemetry/1`.
+    /// JSON object with `sampler_paths`, `counters` and `pool_sizes`
+    /// fields — the payload of `paba-telemetry/2`.
     pub fn to_json(&self) -> String {
         let paths: Vec<String> = SamplerPath::ALL
             .iter()
@@ -150,22 +71,16 @@ impl TelemetrySnapshot {
             .iter()
             .map(|&c| format!("\"{}\":{}", c.label(), self.counter(c)))
             .collect();
-        let spans: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| format!("\"{}\":{}", s.stage.label(), s.to_json()))
-            .collect();
         format!(
-            "{{\"sampler_paths\":{{{}}},\"counters\":{{{}}},\"pool_sizes\":{},\"spans\":{{{}}}}}",
+            "{{\"sampler_paths\":{{{}}},\"counters\":{{{}}},\"pool_sizes\":{}}}",
             paths.join(","),
             counters.join(","),
             self.pool_sizes.summary_json(),
-            spans.join(","),
         )
     }
 
     /// Human-readable Markdown breakdown (sampler paths with shares,
-    /// auxiliary counters, pool sizes, stage timings).
+    /// auxiliary counters, pool sizes).
     pub fn table(&self) -> String {
         let total = self.total_requests();
         let mut paths = Table::new(["sampler path", "requests", "share"]).with_aligns(vec![
@@ -192,30 +107,6 @@ impl TelemetrySnapshot {
             counters.push_row([c.label().to_string(), self.counter(c).to_string()]);
         }
 
-        let mut spans =
-            Table::new(["stage", "spans", "mean", "p50", "p99", "max"]).with_aligns(vec![
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ]);
-        for s in &self.spans {
-            spans.push_row([
-                s.stage.label().to_string(),
-                s.count.to_string(),
-                fmt_ns(s.mean_ns()),
-                s.quantile_ns(0.5).map_or("-".into(), |v| fmt_ns(v as f64)),
-                s.quantile_ns(0.99).map_or("-".into(), |v| fmt_ns(v as f64)),
-                if s.count == 0 {
-                    "-".into()
-                } else {
-                    fmt_ns(s.max_ns as f64)
-                },
-            ]);
-        }
-
         let pool = &self.pool_sizes;
         let pool_line = if pool.total() == 0 {
             "candidate pools: none recorded".to_string()
@@ -231,10 +122,9 @@ impl TelemetrySnapshot {
         };
 
         format!(
-            "{}\n{}\n{}\n\n{}",
+            "{}\n{}\n\n{}",
             paths.to_markdown(),
             counters.to_markdown(),
-            spans.to_markdown(),
             pool_line,
         )
     }
@@ -244,34 +134,6 @@ impl Default for TelemetrySnapshot {
     fn default() -> Self {
         Self::empty()
     }
-}
-
-/// Format nanoseconds with an adaptive unit for table cells.
-fn fmt_ns(ns: f64) -> String {
-    if !ns.is_finite() {
-        return "-".to_string();
-    }
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2}µs", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_opt_u64(v: Option<u64>) -> String {
-    v.map_or("null".to_string(), |v| v.to_string())
 }
 
 #[cfg(test)]
@@ -294,7 +156,6 @@ mod tests {
             rec.path(SamplerPath::ALL[(r % SamplerPath::COUNT as u64) as usize]);
             rec.count(Counter::ALL[(r as usize / 7) % Counter::COUNT], r % 5);
             rec.pool_size((r % 40) as usize);
-            rec.span_ns(Stage::ALL[(r as usize / 11) % Stage::COUNT], r % 100_000);
         }
         rec.snapshot()
     }
@@ -350,19 +211,17 @@ mod tests {
     fn json_shape() {
         let snap = synthetic(7);
         let json = snap.to_json();
-        for key in ["sampler_paths", "counters", "pool_sizes", "spans"] {
+        for key in ["sampler_paths", "counters", "pool_sizes"] {
             assert!(json.contains(&format!("\"{key}\":")), "missing {key}");
         }
         for p in SamplerPath::ALL {
             assert!(json.contains(&format!("\"{}\":", p.label())));
         }
-        for s in Stage::ALL {
-            assert!(json.contains(&format!("\"{}\":", s.label())));
-        }
+        assert!(!json.contains("spans"));
         // Empty snapshot serializes nulls, not NaN.
         let empty = TelemetrySnapshot::empty().to_json();
         assert!(!empty.contains("NaN"));
-        assert!(empty.contains("\"mean_ns\":null"));
+        assert!(empty.contains("\"mean\":null"));
     }
 
     #[test]
@@ -374,19 +233,5 @@ mod tests {
         assert!(table.contains("windowed"));
         assert!(table.contains("90.0%"));
         assert!(!table.contains("ball-sample"));
-    }
-
-    #[test]
-    fn span_quantiles_are_bucket_lower_bounds() {
-        let mut s = SpanSummary::empty(Stage::AssignLoop);
-        for ns in [0u64, 1, 900, 1000, 1100] {
-            s.buckets.record(Histogram::log2_bucket(ns));
-            s.sum_ns += ns;
-            s.max_ns = s.max_ns.max(ns);
-            s.count += 1;
-        }
-        // 900/1000/1100 all land in [512, 2048) buckets.
-        assert_eq!(s.quantile_ns(1.0), Some(1024));
-        assert_eq!(s.quantile_ns(0.0), Some(0));
     }
 }

@@ -3,24 +3,21 @@
 //! The aggregate counters in [`AtomicRecorder`] answer *how often* each
 //! sampler path fires; a trace answers *when* and *for which request*.
 //! `TraceRecorder` implements [`Recorder`] so any instrumented strategy
-//! can feed it unchanged, and layers three collections on top of an
+//! can feed it unchanged, and layers two collections on top of an
 //! embedded `AtomicRecorder`, whose counters stay exact and which a
 //! live `/metrics` scrape reads mid-run through
 //! [`TraceRecorder::aggregate`]:
 //!
 //! * sampled [`TraceEvent`]s — 1-in-N or reservoir sampling into a
 //!   bounded per-run buffer;
-//! * a per-run [`LoadSeries`] via the [`Recorder::loads`] hook;
-//! * wall-clock [`SpanEvent`]s for Chrome-trace export.
+//! * a per-run [`LoadSeries`] via the [`Recorder::loads`] hook.
 //!
 //! **Determinism.** Every sampling decision depends only on the pair
 //! (run index, within-run request counter): 1-in-N is a modulus on the
 //! request counter and the reservoir RNG is reseeded per run from
 //! `split_seed(cfg.seed, run)` at [`TraceRecorder::begin_run`]. Merged
 //! through [`TraceReport::collect`] (which sorts by run index), event
-//! streams and time series are bit-identical across thread counts. Span
-//! events read the wall clock and are exempt — they exist for Perfetto,
-//! not for comparison.
+//! streams and time series are bit-identical across thread counts.
 //!
 //! The recorder uses a `RefCell` internally: it is `Send` (one worker
 //! thread owns it at a time, the `run_parallel_with_state` contract) but
@@ -29,11 +26,10 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use paba_util::{split_seed, SplitMix64};
 
-use crate::events::{Counter, SamplerPath, Stage};
+use crate::events::{Counter, SamplerPath};
 use crate::recorder::{AtomicRecorder, Recorder};
 use crate::timeseries::LoadSeries;
 
@@ -98,21 +94,6 @@ pub struct TraceEvent {
     pub candidates: Vec<(u64, u32)>,
 }
 
-/// One timed stage span with a wall-clock start relative to the
-/// recorder's epoch — exactly what Chrome Trace Format's complete events
-/// (`"ph": "X"`) need.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Timed stage.
-    pub stage: Stage,
-    /// Run that was active when the span ended, if any.
-    pub run: Option<u64>,
-    /// Span start, nanoseconds since the recorder epoch.
-    pub ts_ns: u64,
-    /// Span duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
 /// Everything one run produced.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunTrace {
@@ -152,7 +133,6 @@ struct ActiveRun {
 struct TraceInner {
     finished: Vec<RunTrace>,
     active: Option<ActiveRun>,
-    spans: Vec<SpanEvent>,
 }
 
 /// A [`Recorder`] that captures traces (see module docs).
@@ -160,29 +140,19 @@ struct TraceInner {
 pub struct TraceRecorder {
     aggregate: Arc<AtomicRecorder>,
     cfg: TraceConfig,
-    epoch: Instant,
     inner: RefCell<TraceInner>,
 }
 
 impl TraceRecorder {
-    /// Fresh recorder with its epoch at "now".
+    /// Fresh recorder.
     #[inline]
     pub fn new(cfg: TraceConfig) -> Self {
-        Self::with_epoch(cfg, Instant::now())
-    }
-
-    /// Fresh recorder with an explicit epoch — recorders that share an
-    /// epoch produce span timestamps on a common Chrome-trace timeline.
-    #[inline]
-    pub fn with_epoch(cfg: TraceConfig, epoch: Instant) -> Self {
         Self {
             aggregate: Arc::new(AtomicRecorder::new()),
             cfg,
-            epoch,
             inner: RefCell::new(TraceInner {
                 finished: Vec::new(),
                 active: None,
-                spans: Vec::new(),
             }),
         }
     }
@@ -207,15 +177,14 @@ impl TraceRecorder {
         Arc::clone(&self.aggregate)
     }
 
-    /// Finalize and extract: per-run traces (in `begin_run` order) and
-    /// span events.
-    pub fn into_parts(self) -> (Vec<RunTrace>, Vec<SpanEvent>) {
+    /// Finalize and extract the per-run traces, in `begin_run` order.
+    pub fn into_parts(self) -> Vec<RunTrace> {
         let inner = self.inner.into_inner();
         let mut runs = inner.finished;
         if let Some(act) = inner.active {
             runs.push(Self::finalize(act, self.cfg.sampling));
         }
-        (runs, inner.spans)
+        runs
     }
 
     fn fresh_run(&self, run: u64) -> ActiveRun {
@@ -276,19 +245,6 @@ impl Recorder for TraceRecorder {
         self.aggregate.pool_size(size);
         let mut inner = self.inner.borrow_mut();
         self.ensure_active(&mut inner).pending_pool = Some(size as u64);
-    }
-
-    fn span_ns(&self, stage: Stage, nanos: u64) {
-        self.aggregate.span_ns(stage, nanos);
-        let mut inner = self.inner.borrow_mut();
-        let end_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let run = inner.active.as_ref().map(|a| a.run);
-        inner.spans.push(SpanEvent {
-            stage,
-            run,
-            ts_ns: end_ns.saturating_sub(nanos),
-            dur_ns: nanos,
-        });
     }
 
     fn request(
@@ -361,26 +317,19 @@ impl Recorder for TraceRecorder {
 pub struct TraceReport {
     /// Per-run traces, sorted by run index (scheduling-independent).
     pub runs: Vec<RunTrace>,
-    /// Stage spans, sorted by start time (wall clock — *not* expected to
-    /// be stable across thread counts).
-    pub spans: Vec<SpanEvent>,
 }
 
 impl TraceReport {
     /// Merge the recorder states returned by a parallel collection pass.
-    /// Runs are keyed and sorted by run index, so the deterministic parts
-    /// of the report do not depend on how runs were spread over threads.
+    /// Runs are keyed and sorted by run index, so the report does not
+    /// depend on how runs were spread over threads.
     pub fn collect(states: Vec<TraceRecorder>) -> Self {
-        let mut runs = Vec::new();
-        let mut spans = Vec::new();
-        for state in states {
-            let (r, s) = state.into_parts();
-            runs.extend(r);
-            spans.extend(s);
-        }
+        let mut runs: Vec<RunTrace> = states
+            .into_iter()
+            .flat_map(TraceRecorder::into_parts)
+            .collect();
         runs.sort_by_key(|r| r.run);
-        spans.sort_by_key(|s| (s.ts_ns, s.dur_ns, s.stage as usize));
-        Self { runs, spans }
+        Self { runs }
     }
 
     /// All retained events, in (run, request) order.
@@ -434,7 +383,7 @@ mod tests {
         });
         feed(&rec, 0, 10);
         let snap = rec.aggregate().snapshot();
-        let (runs, _) = rec.into_parts();
+        let runs = rec.into_parts();
         assert_eq!(runs.len(), 1);
         let r = &runs[0];
         assert_eq!(r.requests, 10);
@@ -458,7 +407,7 @@ mod tests {
             seed: 0,
         });
         feed(&rec, 0, 10);
-        let (runs, _) = rec.into_parts();
+        let runs = rec.into_parts();
         let picked: Vec<u64> = runs[0].events.iter().map(|e| e.request).collect();
         assert_eq!(picked, vec![7, 8, 9]);
         assert_eq!(runs[0].sampled, 10);
@@ -475,7 +424,7 @@ mod tests {
         };
         let rec = TraceRecorder::new(cfg.clone());
         feed(&rec, 3, 100);
-        let (runs, _) = rec.into_parts();
+        let runs = rec.into_parts();
         let r = &runs[0];
         assert_eq!(r.events.len(), 5);
         assert_eq!(r.sampled, 100);
@@ -487,17 +436,17 @@ mod tests {
         // Same run index ⇒ identical sample; different run ⇒ independent.
         let rec2 = TraceRecorder::new(cfg.clone());
         feed(&rec2, 3, 100);
-        let (runs2, _) = rec2.into_parts();
+        let runs2 = rec2.into_parts();
         assert_eq!(runs[0].events, runs2[0].events);
         let rec3 = TraceRecorder::new(cfg);
         feed(&rec3, 4, 100);
-        let (runs3, _) = rec3.into_parts();
+        let runs3 = rec3.into_parts();
         let picked3: Vec<u64> = runs3[0].events.iter().map(|e| e.request).collect();
         assert_ne!(picked, picked3);
     }
 
     #[test]
-    fn series_and_span_capture() {
+    fn series_capture() {
         let rec = TraceRecorder::new(TraceConfig {
             sampling: Sampling::OneIn(1),
             stride: 5,
@@ -505,16 +454,11 @@ mod tests {
             seed: 0,
         });
         feed(&rec, 0, 10);
-        rec.span_ns(Stage::AssignLoop, 1_000);
-        let (runs, spans) = rec.into_parts();
+        let runs = rec.into_parts();
         let pts = &runs[0].series.points;
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].requests, 5);
         assert_eq!(pts[1].requests, 10);
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].stage, Stage::AssignLoop);
-        assert_eq!(spans[0].dur_ns, 1_000);
-        assert_eq!(spans[0].run, Some(0));
     }
 
     #[test]
@@ -550,7 +494,7 @@ mod tests {
             r.loads(0, &[1]);
         }
         site(&by_ref);
-        let (runs, _) = rec.into_parts();
+        let runs = rec.into_parts();
         assert_eq!(runs[0].events.len(), 1);
         assert_eq!(runs[0].events[0].server, 3);
     }

@@ -78,11 +78,6 @@ impl Histogram {
         self.counts.iter().rposition(|&c| c > 0)
     }
 
-    /// Smallest observed value (`None` when empty).
-    pub fn min_value(&self) -> Option<usize> {
-        self.counts.iter().position(|&c| c > 0)
-    }
-
     /// Mean of the observations (`NaN` when empty).
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
@@ -116,28 +111,6 @@ impl Histogram {
         self.max_value()
     }
 
-    /// Iterator over `(value, count)` pairs with nonzero count.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(v, &c)| (v, c))
-    }
-
-    /// log₂ bucket index for `value`: bucket 0 holds the value 0, bucket
-    /// `b ≥ 1` holds `[2^(b-1), 2^b)`. Used to fold wide-range
-    /// observations (nanosecond spans) into a small dense histogram;
-    /// `log2_bucket(u64::MAX) = 64`, so 65 buckets cover all of `u64`.
-    #[inline]
-    pub fn log2_bucket(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (63 - value.leading_zeros() as usize) + 1
-        }
-    }
-
     /// Compact JSON summary `{"count":…,"mean":…,"p50":…,"p99":…,"max":…}`
     /// shared by the telemetry snapshots and BENCH artifact writers.
     /// Statistics of an empty histogram serialize as `null`.
@@ -161,15 +134,6 @@ impl Histogram {
             opt(self.quantile(0.99)),
             opt(self.max_value()),
         )
-    }
-
-    /// Fraction of observations with value `>= threshold`.
-    pub fn tail_fraction(&self, threshold: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let tail: u64 = self.counts.iter().skip(threshold).sum();
-        tail as f64 / self.total as f64
     }
 }
 
@@ -198,7 +162,6 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.total(), 0);
         assert_eq!(h.max_value(), None);
-        assert_eq!(h.min_value(), None);
         assert_eq!(h.quantile(0.5), None);
         assert!(h.mean().is_nan());
     }
@@ -210,7 +173,6 @@ mod tests {
         assert_eq!(h.count(3), 3);
         assert_eq!(h.count(0), 1);
         assert_eq!(h.count(99), 0);
-        assert_eq!(h.min_value(), Some(0));
         assert_eq!(h.max_value(), Some(3));
     }
 
@@ -239,31 +201,6 @@ mod tests {
         m.merge(&b);
         let u: Histogram = [1usize, 2, 2, 8, 0, 2, 9, 9].into_iter().collect();
         assert_eq!(m, u);
-    }
-
-    #[test]
-    fn tail_fraction() {
-        let h: Histogram = [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9].into_iter().collect();
-        assert!((h.tail_fraction(5) - 0.5).abs() < 1e-12);
-        assert!((h.tail_fraction(0) - 1.0).abs() < 1e-12);
-        assert_eq!(h.tail_fraction(10), 0.0);
-    }
-
-    #[test]
-    fn log2_bucket_boundaries() {
-        assert_eq!(Histogram::log2_bucket(0), 0);
-        assert_eq!(Histogram::log2_bucket(1), 1);
-        assert_eq!(Histogram::log2_bucket(2), 2);
-        assert_eq!(Histogram::log2_bucket(3), 2);
-        assert_eq!(Histogram::log2_bucket(4), 3);
-        assert_eq!(Histogram::log2_bucket(1023), 10);
-        assert_eq!(Histogram::log2_bucket(1024), 11);
-        assert_eq!(Histogram::log2_bucket(u64::MAX), 64);
-        // Every bucket's lower bound maps back to that bucket.
-        for b in 1..64usize {
-            assert_eq!(Histogram::log2_bucket(1u64 << (b - 1)), b);
-            assert_eq!(Histogram::log2_bucket((1u64 << b) - 1), b);
-        }
     }
 
     #[test]
@@ -296,12 +233,5 @@ mod tests {
         assert_eq!(h.count(2), 10);
         assert_eq!(h.count(7), 0);
         assert_eq!(h.max_value(), Some(2));
-    }
-
-    #[test]
-    fn iter_skips_zeros() {
-        let h: Histogram = [0usize, 5].into_iter().collect();
-        let pairs: Vec<_> = h.iter().collect();
-        assert_eq!(pairs, vec![(0, 1), (5, 1)]);
     }
 }

@@ -15,7 +15,7 @@ pub const REPRO: &str = "paba-repro/1";
 pub const TRACE_SERIES: &str = "paba-trace-series/1";
 
 /// `paba simulate --telemetry` snapshot dump.
-pub const TELEMETRY: &str = "paba-telemetry/1";
+pub const TELEMETRY: &str = "paba-telemetry/2";
 
 /// `paba churn` fault-injection gate artifact (`BENCH_churn.json`).
 pub const CHURN: &str = "paba-churn/1";

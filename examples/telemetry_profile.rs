@@ -53,7 +53,7 @@ fn main() {
         &tracer,
     );
 
-    let (runs, _spans) = tracer.into_parts();
+    let runs = tracer.into_parts();
     let run = &runs[0];
     println!(
         "sampled {} of {} requests; first event: {:?}",

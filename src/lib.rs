@@ -27,7 +27,7 @@
 //! | [`repro`] | `paba-repro` | theorem-gated reproduction suite + golden artifacts |
 //! | [`supermarket`] | `paba-supermarket` | continuous-time queueing extension (§VI) |
 //! | [`workload`] | `paba-workload` | pluggable request sources, trace record/replay |
-//! | [`telemetry`] | `paba-telemetry` | zero-overhead recorders, tracing, time series, Chrome-trace export |
+//! | [`telemetry`] | `paba-telemetry` | zero-overhead recorders, tracing, time series, live `/metrics` |
 //!
 //! ## Quickstart
 //!
