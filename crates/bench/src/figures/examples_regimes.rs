@@ -35,22 +35,22 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     // ------------------------------------------------------------------
     // Examples 1, 2, 3, 4 as Strategy II configurations.
     // ------------------------------------------------------------------
-    let mut points: Vec<(NetPoint, StrategyKind)> = Vec::new();
+    let mut points: Vec<(NetPoint, StrategySpec)> = Vec::new();
     for &s in &sides {
         let n = s * s;
         // Example 1: M=K (full), r=∞.
         let mut e1 = NetPoint::uniform(s, 16, 16);
         e1.policy = PlacementPolicy::FullLibrary;
-        points.push((e1, StrategyKind::two_choice(None)));
+        points.push((e1, StrategySpec::two_choice(None)));
         // Example 2: K=n, M=1, r=∞.
-        points.push((NetPoint::uniform(s, n, 1), StrategyKind::two_choice(None)));
+        points.push((NetPoint::uniform(s, n, 1), StrategySpec::two_choice(None)));
         // Example 3: K=n^{1/2}, M=1, r=∞.
         let k3 = (n as f64).sqrt().round() as u32;
-        points.push((NetPoint::uniform(s, k3, 1), StrategyKind::two_choice(None)));
+        points.push((NetPoint::uniform(s, k3, 1), StrategySpec::two_choice(None)));
         // Example 4: M=K (full), r=1.
         let mut e4 = NetPoint::uniform(s, 16, 16);
         e4.policy = PlacementPolicy::FullLibrary;
-        points.push((e4, StrategyKind::two_choice(Some(1))));
+        points.push((e4, StrategySpec::two_choice(Some(1))));
     }
     let res = sweep_points(cfg, &points, runs, cfg.seed);
 

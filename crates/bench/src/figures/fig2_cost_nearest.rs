@@ -24,12 +24,12 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     );
     let libraries = [100u32, 1000, 2000];
 
-    let points: Vec<(NetPoint, StrategyKind)> = libraries
+    let points: Vec<(NetPoint, StrategySpec)> = libraries
         .iter()
         .flat_map(|&k| {
             cache_sizes
                 .iter()
-                .map(move |&m| (NetPoint::uniform(side, k, m), StrategyKind::Nearest))
+                .map(move |&m| (NetPoint::uniform(side, k, m), StrategySpec::NEAREST))
         })
         .collect();
     let results = sweep_points(cfg, &points, runs, cfg.seed);

@@ -25,12 +25,12 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let cache_sizes = [1u32, 2, 10, 100];
     let k = 2000u32;
 
-    let points: Vec<(NetPoint, StrategyKind)> = cache_sizes
+    let points: Vec<(NetPoint, StrategySpec)> = cache_sizes
         .iter()
         .flat_map(|&m| {
             sides
                 .iter()
-                .map(move |&s| (NetPoint::uniform(s, k, m), StrategyKind::two_choice(None)))
+                .map(move |&s| (NetPoint::uniform(s, k, m), StrategySpec::two_choice(None)))
         })
         .collect();
     let results = sweep_points(cfg, &points, runs, cfg.seed);

@@ -55,12 +55,12 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let cache_sizes = [1u32, 2, 5, 10, 20, 50, 200];
     let k = 500u32;
 
-    let points: Vec<(NetPoint, StrategyKind)> = cache_sizes
+    let points: Vec<(NetPoint, StrategySpec)> = cache_sizes
         .iter()
         .flat_map(|&m| {
             radii
                 .iter()
-                .map(move |&r| (NetPoint::uniform(side, k, m), StrategyKind::two_choice(r)))
+                .map(move |&r| (NetPoint::uniform(side, k, m), StrategySpec::two_choice(r)))
         })
         .collect();
     let results = sweep_points(cfg, &points, runs, cfg.seed);

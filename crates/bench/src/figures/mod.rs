@@ -6,7 +6,8 @@
 //! NAME|all` prints the sink as Markdown, or as CSV under `--csv`.
 
 // The figure modules share these through `use super::*`.
-use crate::{pm, sweep_points, sweep_workload_points, NetPoint, StrategyKind};
+use crate::{pm, sweep_points, sweep_workload_points, NetPoint};
+use paba_core::StrategySpec;
 use paba_mcrunner::SweepOutcome;
 use paba_repro::ReproConfig;
 use paba_util::Table;

@@ -25,12 +25,12 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     );
 
     // --- Theorem 1 regime ---
-    let points_t1: Vec<(NetPoint, StrategyKind)> = sides
+    let points_t1: Vec<(NetPoint, StrategySpec)> = sides
         .iter()
         .map(|&s| {
             let n = s * s;
             let k = (n as f64).sqrt().round() as u32; // K = n^{1/2}
-            (NetPoint::uniform(s, k, 2), StrategyKind::Nearest)
+            (NetPoint::uniform(s, k, 2), StrategySpec::NEAREST)
         })
         .collect();
     let res_t1 = sweep_points(cfg, &points_t1, runs, cfg.seed);
@@ -58,12 +58,12 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     ));
 
     // --- Theorem 2 regime ---
-    let points_t2: Vec<(NetPoint, StrategyKind)> = sides
+    let points_t2: Vec<(NetPoint, StrategySpec)> = sides
         .iter()
         .map(|&s| {
             let n = s * s;
             let m = ((n as f64).powf(0.25).round() as u32).max(1); // M = n^{1/4}
-            (NetPoint::uniform(s, n, m), StrategyKind::Nearest)
+            (NetPoint::uniform(s, n, m), StrategySpec::NEAREST)
         })
         .collect();
     let res_t2 = sweep_points(cfg, &points_t2, runs, cfg.seed ^ 0x7777);

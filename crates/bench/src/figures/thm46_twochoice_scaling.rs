@@ -10,7 +10,7 @@
 //!   a fixed small radius ladder.
 
 use super::*;
-use paba_core::PlacementPolicy;
+use paba_core::{PlacementPolicy, StrategyRule};
 use paba_theory::theorem4_min_beta;
 
 pub fn run(cfg: &ReproConfig, out: &mut Sink) {
@@ -40,11 +40,11 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
         let r_bad = (n.powf(0.15).ceil() as u32).max(1);
         points.push((
             NetPoint::uniform(s, s * s, m),
-            StrategyKind::two_choice(Some(r_ok)),
+            StrategySpec::two_choice(Some(r_ok)),
         ));
         points.push((
             NetPoint::uniform(s, s * s, m),
-            StrategyKind::two_choice(Some(r_bad)),
+            StrategySpec::two_choice(Some(r_bad)),
         ));
         labels.push((m, r_ok, r_bad));
     }
@@ -88,7 +88,7 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
 
     // --- Theorem 6: M = K, tiny radius ---
     let k_small = 16u32;
-    let points_t6: Vec<(NetPoint, StrategyKind)> = sides
+    let points_t6: Vec<(NetPoint, StrategySpec)> = sides
         .iter()
         .map(|&s| {
             let n = (s * s) as f64;
@@ -102,7 +102,7 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
             let r = (n.ln().ceil() as u32).max(3);
             let mut p = NetPoint::uniform(s, k_small, k_small);
             p.policy = PlacementPolicy::FullLibrary;
-            (p, StrategyKind::two_choice(Some(r)))
+            (p, StrategySpec::two_choice(Some(r)))
         })
         .collect();
     let res_t6 = sweep_points(cfg, &points_t6, runs, cfg.seed ^ 0xabcd);
@@ -110,9 +110,9 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
     let mut t6 = Table::new(["n", "r", "L (mean)", "L/lnln n", "C (hops)"]);
     for (i, &s) in sides.iter().enumerate() {
         let n = (s * s) as f64;
-        let StrategyKind::Proximity {
+        let StrategyRule::Proximity {
             radius: Some(r), ..
-        } = points_t6[i].1
+        } = points_t6[i].1.rule
         else {
             unreachable!()
         };

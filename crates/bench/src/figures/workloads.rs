@@ -61,7 +61,7 @@ pub fn run(cfg: &ReproConfig, out: &mut Sink) {
 
     let sides: Vec<u32> = cfg.pick(vec![32], vec![32, 45], vec![32, 45, 64, 91]);
     let (k, m) = (200u32, 4u32);
-    let strategies = [StrategyKind::Nearest, StrategyKind::two_choice(Some(8))];
+    let strategies = [StrategySpec::NEAREST, StrategySpec::two_choice(Some(8))];
 
     for &side in &sides {
         let n = (side as u64) * (side as u64);

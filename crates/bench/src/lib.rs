@@ -10,11 +10,10 @@
 pub mod figures;
 pub mod report;
 
-use paba_core::{
-    simulate_source, CacheNetwork, NearestReplica, PlacementPolicy, ProximityChoice, UncachedPolicy,
-};
+use paba_core::{simulate_source, CacheNetwork, PlacementPolicy, StrategySpec, UncachedPolicy};
 use paba_popularity::Popularity;
 use paba_repro::ReproConfig;
+use paba_telemetry::NullRecorder;
 use paba_util::Summary;
 use paba_workload::WorkloadSpec;
 use rand::rngs::SmallRng;
@@ -62,40 +61,6 @@ impl NetPoint {
     }
 }
 
-/// Which strategy a sweep point runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StrategyKind {
-    /// Strategy I (nearest replica).
-    Nearest,
-    /// Strategy II with `d` choices and optional radius.
-    Proximity {
-        /// Proximity radius (`None` = `r = ∞`).
-        radius: Option<u32>,
-        /// Number of choices (2 in the paper).
-        d: u32,
-    },
-}
-
-impl StrategyKind {
-    /// The paper's Strategy II defaults.
-    pub fn two_choice(radius: Option<u32>) -> Self {
-        StrategyKind::Proximity { radius, d: 2 }
-    }
-
-    /// Display label.
-    pub fn label(&self) -> String {
-        match self {
-            StrategyKind::Nearest => "Strategy I (nearest)".into(),
-            StrategyKind::Proximity { radius: None, d } => {
-                format!("Strategy II (d={d}, r=inf)")
-            }
-            StrategyKind::Proximity { radius: Some(r), d } => {
-                format!("Strategy II (d={d}, r={r})")
-            }
-        }
-    }
-}
-
 /// Per-run scalar outcomes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunOut {
@@ -109,28 +74,20 @@ pub struct RunOut {
 
 /// One full simulation run: fresh placement, then `n` requests (the
 /// paper's default request count) drawn from a fresh instantiation of
-/// `spec` and assigned by the selected strategy.
+/// `workload` and assigned by `strategy`.
 pub fn run_once(
     point: &NetPoint,
-    kind: StrategyKind,
-    spec: &WorkloadSpec,
+    strategy: StrategySpec,
+    workload: &WorkloadSpec,
     rng: &mut SmallRng,
 ) -> RunOut {
     let net = point.build(rng);
     let requests = net.n() as u64;
-    let mut source = spec
+    let mut source = workload
         .build(&net, UncachedPolicy::ResampleFile)
         .expect("workload spec must fit the bench network");
-    let report = match kind {
-        StrategyKind::Nearest => {
-            let mut s = NearestReplica::new();
-            simulate_source(&net, &mut s, &mut source, requests, rng)
-        }
-        StrategyKind::Proximity { radius, d } => {
-            let mut s = ProximityChoice::with_choices(radius, d);
-            simulate_source(&net, &mut s, &mut source, requests, rng)
-        }
-    };
+    let mut s = strategy.build(NullRecorder);
+    let report = simulate_source(&net, &mut s, &mut source, requests, rng);
     RunOut {
         max_load: report.max_load() as f64,
         cost: report.comm_cost(),
@@ -149,11 +106,11 @@ pub struct PointSummary {
     pub fallback: Summary,
 }
 
-/// Sweep `(NetPoint, StrategyKind, WorkloadSpec)` triples in parallel on
+/// Sweep `(NetPoint, StrategySpec, WorkloadSpec)` triples in parallel on
 /// `cfg.threads` workers, deterministic in `(seed, point, run)`.
 pub fn sweep_workload_points(
     cfg: &ReproConfig,
-    points: &[(NetPoint, StrategyKind, WorkloadSpec)],
+    points: &[(NetPoint, StrategySpec, WorkloadSpec)],
     runs: usize,
     seed: u64,
 ) -> Vec<PointSummary> {
@@ -173,30 +130,15 @@ pub fn sweep_workload_points(
 /// [`sweep_workload_points`] under the paper's IID workload.
 pub fn sweep_points(
     cfg: &ReproConfig,
-    points: &[(NetPoint, StrategyKind)],
+    points: &[(NetPoint, StrategySpec)],
     runs: usize,
     seed: u64,
 ) -> Vec<PointSummary> {
     let points: Vec<_> = points
         .iter()
-        .map(|(p, kind)| (p.clone(), *kind, WorkloadSpec::Iid))
+        .map(|(p, strategy)| (p.clone(), *strategy, WorkloadSpec::Iid))
         .collect();
     sweep_workload_points(cfg, &points, runs, seed)
-}
-
-/// Geometric-ish ladder of torus sides between `lo` and `hi` (inclusive),
-/// `count` points.
-pub fn side_ladder(lo: u32, hi: u32, count: usize) -> Vec<u32> {
-    assert!(count >= 2 && hi > lo && lo >= 2);
-    let (llo, lhi) = ((lo as f64).ln(), (hi as f64).ln());
-    let mut sides: Vec<u32> = (0..count)
-        .map(|i| {
-            let t = i as f64 / (count - 1) as f64;
-            (llo + t * (lhi - llo)).exp().round() as u32
-        })
-        .collect();
-    sides.dedup();
-    sides
 }
 
 /// Format a mean ± 95% CI pair compactly.
@@ -214,18 +156,18 @@ mod tests {
         let p = NetPoint::uniform(8, 16, 2);
         let mut rng = SmallRng::seed_from_u64(1);
         let iid = WorkloadSpec::Iid;
-        let out = run_once(&p, StrategyKind::Nearest, &iid, &mut rng);
+        let out = run_once(&p, StrategySpec::NEAREST, &iid, &mut rng);
         assert!(out.max_load >= 1.0);
         assert!(out.cost >= 0.0);
-        let out2 = run_once(&p, StrategyKind::two_choice(Some(2)), &iid, &mut rng);
+        let out2 = run_once(&p, StrategySpec::two_choice(Some(2)), &iid, &mut rng);
         assert!(out2.max_load >= 1.0);
     }
 
     #[test]
     fn sweep_points_shapes() {
         let pts = vec![
-            (NetPoint::uniform(5, 10, 1), StrategyKind::Nearest),
-            (NetPoint::uniform(5, 10, 2), StrategyKind::two_choice(None)),
+            (NetPoint::uniform(5, 10, 1), StrategySpec::NEAREST),
+            (NetPoint::uniform(5, 10, 2), StrategySpec::two_choice(None)),
         ];
         let cfg = ReproConfig::new(paba_util::envcfg::Scale::Quick);
         let res = sweep_points(&cfg, &pts, 5, 3);
@@ -233,19 +175,5 @@ mod tests {
         for s in &res {
             assert_eq!(s.max_load.count, 5);
         }
-    }
-
-    #[test]
-    fn side_ladder_monotone() {
-        let l = side_ladder(10, 55, 10);
-        assert!(l.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(*l.first().unwrap(), 10);
-        assert_eq!(*l.last().unwrap(), 55);
-    }
-
-    #[test]
-    fn strategy_labels() {
-        assert!(StrategyKind::Nearest.label().contains("Strategy I"));
-        assert!(StrategyKind::two_choice(Some(4)).label().contains("r=4"));
     }
 }

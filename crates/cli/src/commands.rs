@@ -2,8 +2,8 @@
 
 use crate::args::Args;
 use paba_core::{
-    simulate_source_profiled, CacheNetwork, LeastLoadedInBall, NearestReplica, PlacementPolicy,
-    ProximityChoice, RequestSource, SimReport, StaleLoad, UncachedPolicy,
+    simulate_source_profiled, CacheNetwork, PlacementPolicy, RequestSource, SimReport,
+    StrategyRule, StrategySpec, UncachedPolicy,
 };
 use paba_mcrunner::{run_parallel, run_parallel_traced, run_parallel_with_state, LiveRun};
 use paba_popularity::Popularity;
@@ -58,7 +58,8 @@ SIMULATE OPTIONS (defaults in parentheses):
   --strategy S      nearest | two-choice | d-choice | least-loaded (two-choice)
   --radius R        proximity radius, integer or 'inf' (inf)
   --choices D       number of choices for d-choice (2)
-  --stale P         refresh load info only every P requests (1 = fresh)
+  --stale P         refresh load info only every P requests, for every
+                    strategy (1 = fresh)
   --requests Q      requests per run (n; trace length for --workload trace)
   --runs R          Monte-Carlo runs (20)
   --seed S          master seed (20170529)
@@ -105,7 +106,8 @@ WORKLOAD GENERATE/INSPECT:
 QUEUE OPTIONS (plus the workload options above):
   --side/--files/--cache/--gamma/--radius/--choices/--seed as above
   --strategy S      nearest | two-choice | d-choice | least-loaded (two-choice)
-  --stale P         refresh queue-length info only every P dispatches (1 = fresh)
+  --stale P         refresh queue-length info only every P dispatches, for
+                    every strategy (1 = fresh)
   --lambda L        per-server arrival rate in (0,1) (0.8)
   --horizon T       simulated time (2000)
   --warmup T        measurement warm-up (500)
@@ -360,6 +362,22 @@ fn shape_or(a: &Args, side: u32, k: u32, m: u32) -> Result<(u32, u32, u32, f64),
     ))
 }
 
+/// `--strategy/--radius/--choices/--stale`, shared by `simulate` and
+/// `queue`: the one place a strategy name is mapped to a strategy.
+fn strategy_spec(a: &Args) -> Result<StrategySpec, String> {
+    let radius = a.radius("radius")?;
+    let choices: u32 = a.positive_or("choices", 2, "number of choices")?;
+    let stale_period: u64 = a.positive_or("stale", 1, "refresh period")?;
+    let rule = match a.str_or("strategy", "two-choice").as_str() {
+        "nearest" => StrategyRule::Nearest,
+        "two-choice" => StrategyRule::Proximity { radius, d: 2 },
+        "d-choice" => StrategyRule::Proximity { radius, d: choices },
+        "least-loaded" => StrategyRule::LeastLoaded { radius },
+        other => return Err(format!("--strategy: unknown strategy '{other}'")),
+    };
+    Ok(StrategySpec { rule, stale_period })
+}
+
 /// Everything one Monte-Carlo run of `paba simulate` needs. Shared by the
 /// three recorder arms so all run byte-identical simulations — recording
 /// never touches the RNG stream.
@@ -369,13 +387,10 @@ struct SimRunCfg {
     k: u32,
     m: u32,
     gamma: f64,
-    radius: Option<u32>,
-    choices: u32,
-    stale: u64,
+    strategy: StrategySpec,
     seed: u64,
     runs: usize,
     requests_opt: u64,
-    strategy: String,
     placement: String,
     policy: PlacementPolicy,
     spec: WorkloadSpec,
@@ -419,32 +434,8 @@ fn sim_run_one<Rec: Recorder + Clone>(
         // Finite sources (trace replay) default to their length.
         RequestSource::<Torus>::size_hint(&source).unwrap_or(net.n() as u64)
     };
-    match cfg.strategy.as_str() {
-        "nearest" => {
-            let mut s = NearestReplica::new().with_recorder(rec.clone());
-            simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
-        }
-        "two-choice" | "d-choice" => {
-            let d = if cfg.strategy == "two-choice" {
-                2
-            } else {
-                cfg.choices
-            };
-            if cfg.stale > 1 {
-                let inner = ProximityChoice::with_choices(cfg.radius, d).with_recorder(rec.clone());
-                let mut s = StaleLoad::new(inner, cfg.stale);
-                simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
-            } else {
-                let mut s = ProximityChoice::with_choices(cfg.radius, d).with_recorder(rec.clone());
-                simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
-            }
-        }
-        "least-loaded" => {
-            let mut s = LeastLoadedInBall::new(cfg.radius).with_recorder(rec.clone());
-            simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
-        }
-        other => unreachable!("strategy '{other}' was validated before spawning"),
-    }
+    let mut s = cfg.strategy.build(rec.clone());
+    simulate_source_profiled(&net, &mut s, &mut source, requests, rng, rec)
 }
 
 /// Write `content` to `path`, where `-` means stdout (so artifacts pipe
@@ -487,19 +478,10 @@ fn sim_cfg_from_args(a: &Args) -> Result<SimRunCfg, String> {
     reject_action(a)?;
     a.check_keys(&[SIM_KEYS, WORKLOAD_KEYS, TRACE_KEYS].concat())?;
     let (side, k, m, gamma) = shape_or(a, 45, 500, 10)?;
-    let radius = a.radius("radius")?;
-    let choices: u32 = a.positive_or("choices", 2, "number of choices")?;
-    let stale: u64 = a.parse_or("stale", 1)?;
+    let strategy = strategy_spec(a)?;
     let runs: usize = a.positive_or("runs", 20, "run count")?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
     let requests_opt: u64 = a.parse_or("requests", 0)?;
-    let strategy = a.str_or("strategy", "two-choice");
-    if !matches!(
-        strategy.as_str(),
-        "nearest" | "two-choice" | "d-choice" | "least-loaded"
-    ) {
-        return Err(format!("--strategy: unknown strategy '{strategy}'"));
-    }
     let placement = a.str_or("placement", "proportional");
 
     let policy = match placement.as_str() {
@@ -537,13 +519,10 @@ fn sim_cfg_from_args(a: &Args) -> Result<SimRunCfg, String> {
         k,
         m,
         gamma,
-        radius,
-        choices,
-        stale,
+        strategy,
         seed,
         runs,
         requests_opt,
-        strategy,
         placement,
         policy,
         spec,
@@ -741,14 +720,11 @@ pub fn queue(a: &Args) -> Result<(), String> {
     known.extend_from_slice(WORKLOAD_KEYS);
     a.check_keys(&known)?;
     let (side, k, m, gamma) = shape_or(a, 24, 32, 8)?;
-    let radius = a.radius("radius")?;
-    let choices: u32 = a.positive_or("choices", 2, "number of choices")?;
-    let stale: u64 = a.positive_or("stale", 1, "refresh period")?;
+    let strategy = strategy_spec(a)?;
     let lambda: f64 = a.parse_or("lambda", 0.8)?;
     let horizon: f64 = a.parse_or("horizon", 2_000.0)?;
     let warmup: f64 = a.parse_or("warmup", 500.0)?;
     let seed: u64 = a.parse_or("seed", paba_util::envcfg::DEFAULT_SEED)?;
-    let strategy = a.str_or("strategy", "two-choice");
     let cfg = paba_supermarket::QueueSimConfig {
         lambda,
         horizon,
@@ -767,44 +743,13 @@ pub fn queue(a: &Args) -> Result<(), String> {
         .cache_size(m)
         .build(&mut rng);
     let mut source = spec.build(&net, UncachedPolicy::ResampleFile)?;
-    let rep = match strategy.as_str() {
-        "nearest" => {
-            let mut s = NearestReplica::new();
-            paba_supermarket::simulate_queueing_source(&net, &mut s, &mut source, &cfg, &mut rng)
-        }
-        "two-choice" | "d-choice" => {
-            let d = if strategy == "two-choice" { 2 } else { choices };
-            if stale > 1 {
-                let mut s = StaleLoad::new(ProximityChoice::with_choices(radius, d), stale);
-                paba_supermarket::simulate_queueing_source(
-                    &net,
-                    &mut s,
-                    &mut source,
-                    &cfg,
-                    &mut rng,
-                )
-            } else {
-                let mut s = ProximityChoice::with_choices(radius, d);
-                paba_supermarket::simulate_queueing_source(
-                    &net,
-                    &mut s,
-                    &mut source,
-                    &cfg,
-                    &mut rng,
-                )
-            }
-        }
-        "least-loaded" => {
-            let mut s = LeastLoadedInBall::new(radius);
-            paba_supermarket::simulate_queueing_source(&net, &mut s, &mut source, &cfg, &mut rng)
-        }
-        other => return Err(format!("--strategy: unknown strategy '{other}'")),
-    };
+    let mut s = strategy.build(NullRecorder);
+    let rep = paba_supermarket::simulate_queueing_source(&net, &mut s, &mut source, &cfg, &mut rng);
 
     let mut t = Table::new(["metric", "value"]);
     t.push_row(["servers n".to_string(), format!("{}", rep.n)]);
     t.push_row(["lambda".to_string(), format!("{lambda}")]);
-    t.push_row(["strategy".to_string(), strategy.clone()]);
+    t.push_row(["strategy".to_string(), a.str_or("strategy", "two-choice")]);
     t.push_row(["workload".to_string(), spec.name().to_string()]);
     t.push_row(["max queue".to_string(), format!("{}", rep.max_queue)]);
     t.push_row([
@@ -1289,6 +1234,18 @@ mod tests {
             let stats = simulate_cmd_impl(&a).unwrap().stats;
             assert!(stats.max_load.mean >= 1.0, "{strat}");
         }
+    }
+
+    #[test]
+    fn stale_applies_to_least_loaded() {
+        let cost = |extra: &str| {
+            let a = args(&format!(
+                "simulate --side 12 --files 40 --cache 3 --runs 4 --radius 3 \
+                 --strategy least-loaded {extra}"
+            ));
+            simulate_cmd_impl(&a).unwrap().stats.cost
+        };
+        assert_ne!(cost(""), cost("--stale 64"));
     }
 
     #[test]
@@ -1855,7 +1812,7 @@ mod tests {
         type Cmd = fn(&Args) -> Result<(), String>;
         // `--runs 0` takes the gated suites' wording for the same mistake.
         const RUNS: &str = "--runs must be a positive run count";
-        let cases: [(Cmd, &str, &str); 11] = [
+        let cases: [(Cmd, &str, &str); 12] = [
             (
                 simulate,
                 "simulate --strategy d-choice --choices 0",
@@ -1867,6 +1824,7 @@ mod tests {
                 "--choices",
             ),
             (queue, "queue --strategy d-choice --choices 0", "--choices"),
+            (simulate, "simulate --stale 0", "--stale"),
             (simulate, "simulate --runs 0", RUNS),
             (simulate, "simulate --sample 4 --runs 0", RUNS),
             (ballsbins, "ballsbins --runs 0", RUNS),

@@ -61,8 +61,8 @@ pub use request::{apply_uncached_policy, Request, UncachedPolicy};
 pub use simulate::{simulate, simulate_source, simulate_source_profiled};
 pub use source::{IidUniform, RequestSource};
 pub use strategy::{
-    Assignment, LeastLoadedInBall, NearestReplica, PairMode, ProximityChoice, RadiusFallback,
-    SamplerKind, StaleLoad, Strategy,
+    AnyStrategy, Assignment, LeastLoadedInBall, NearestReplica, PairMode, ProximityChoice,
+    SamplerKind, StaleLoad, Strategy, StrategyRule, StrategySpec,
 };
 pub use voronoi::{VoronoiCells, VoronoiComputer};
 

@@ -8,17 +8,27 @@
 //!   (`d = 1` is the load-oblivious "random nearby replica" baseline, and
 //!   `d = 2` with `radius = None` recovers the classic two-choice process
 //!   when `M = K` — the paper's Example 1).
+//! * [`LeastLoadedInBall`] — the full-information baseline: the
+//!   least-loaded replica within the ball.
+//! * [`StaleLoad`] — any of the above deciding on a load snapshot
+//!   refreshed every `P` requests.
+//! * [`StrategySpec`] — plain data naming one of the three strategies and
+//!   a refresh period; [`StrategySpec::build`] instantiates it as one
+//!   [`AnyStrategy`] type, so drivers select a strategy without their own
+//!   dispatch.
 
 mod least_loaded;
 mod nearest;
 mod proximity;
 mod sampler;
+mod spec;
 mod stale;
 
 pub use least_loaded::LeastLoadedInBall;
 pub use nearest::NearestReplica;
-pub use proximity::{PairMode, ProximityChoice, RadiusFallback};
+pub use proximity::{PairMode, ProximityChoice};
 pub use sampler::SamplerKind;
+pub use spec::{AnyStrategy, StrategyRule, StrategySpec};
 pub use stale::StaleLoad;
 
 use crate::metrics::FallbackKind;

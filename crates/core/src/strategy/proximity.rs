@@ -7,18 +7,18 @@
 //! — retaining the `Θ(log log n)` maximum load of the unconstrained
 //! two-choice process.
 //!
-//! The implementation generalizes the definition along three axes, all
+//! The implementation generalizes the definition along two axes, both
 //! defaulting to the paper's setting:
 //!
 //! * **`d` choices** (`d = 2` in the paper; `d = 1` yields the
 //!   load-oblivious "random nearby replica" baseline);
 //! * **pair sampling** — unordered *distinct* pairs (matching Lemma 3's
 //!   `1/C(F_j(w), 2)` edge probability) or independent with-replacement
-//!   draws, for ablation;
-//! * **radius fallback** — what to do when `B_r(u)` holds no replica at
-//!   all (impossible w.h.p. in the analyzed regimes, but a simulator must
-//!   answer): escalate to the global nearest replica (default) or serve at
-//!   the origin.
+//!   draws, for ablation.
+//!
+//! When `B_r(u)` holds no replica at all (impossible w.h.p. in the
+//! analyzed regimes, but a simulator must answer), the request escalates
+//! to the global nearest replica; the extra hops show in the cost metric.
 
 use crate::metrics::FallbackKind;
 use crate::network::CacheNetwork;
@@ -40,17 +40,6 @@ pub enum PairMode {
     WithReplacement,
 }
 
-/// What to do when no replica lies within the proximity ball.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RadiusFallback {
-    /// Escalate to the global nearest replica (keeps every request served
-    /// by a caching node; the extra hops are visible in the cost metric).
-    #[default]
-    NearestGlobal,
-    /// Serve at the origin (models a backhaul fetch; zero hops charged).
-    ServeAtOrigin,
-}
-
 /// Strategy II — proximity-aware `d`-choice assignment.
 ///
 /// Generic over a [`Recorder`]; the default [`NullRecorder`] compiles the
@@ -63,7 +52,6 @@ pub struct ProximityChoice<Rec: Recorder = NullRecorder> {
     radius: Option<u32>,
     d: u32,
     pair_mode: PairMode,
-    fallback: RadiusFallback,
     /// Workhorse: hybrid pool sampler for finite radii (owns the
     /// exact-path materialization buffer).
     sampler: PoolSampler,
@@ -90,7 +78,6 @@ impl ProximityChoice {
             radius,
             d,
             pair_mode: PairMode::default(),
-            fallback: RadiusFallback::default(),
             sampler: PoolSampler::new(SamplerKind::default()),
             picks: Vec::with_capacity(d as usize),
             rec: NullRecorder,
@@ -107,7 +94,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
             radius: self.radius,
             d: self.d,
             pair_mode: self.pair_mode,
-            fallback: self.fallback,
             sampler: self.sampler,
             picks: self.picks,
             rec,
@@ -134,12 +120,6 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
     /// The configured pool sampler.
     pub fn sampler_kind(&self) -> SamplerKind {
         self.sampler.kind()
-    }
-
-    /// Override the empty-ball fallback behaviour.
-    pub fn radius_fallback(mut self, fb: RadiusFallback) -> Self {
-        self.fallback = fb;
-        self
     }
 
     /// The configured radius (`None` = unconstrained).
@@ -347,23 +327,14 @@ impl<Rec: Recorder> ProximityChoice<Rec> {
                 );
                 match drawn {
                     PoolDraw::Empty => {
-                        // Empty ball: escalate per the configured fallback.
-                        return match self.fallback {
-                            RadiusFallback::NearestGlobal => {
-                                let (server, hops) =
-                                    nearest_replica(net, req.origin, req.file, rng, &self.rec)
-                                        .expect("cnt > 0 implies a nearest replica exists");
-                                Assignment {
-                                    server,
-                                    hops,
-                                    fallback: Some(FallbackKind::NoCandidateInBall),
-                                }
-                            }
-                            RadiusFallback::ServeAtOrigin => Assignment {
-                                server: req.origin,
-                                hops: 0,
-                                fallback: Some(FallbackKind::NoCandidateInBall),
-                            },
+                        // Empty ball: escalate to the global nearest replica.
+                        let (server, hops) =
+                            nearest_replica(net, req.origin, req.file, rng, &self.rec)
+                                .expect("cnt > 0 implies a nearest replica exists");
+                        return Assignment {
+                            server,
+                            hops,
+                            fallback: Some(FallbackKind::NoCandidateInBall),
                         };
                     }
                     PoolDraw::Drawn if self.picks.len() == 1 && self.d >= 2 => {
@@ -534,13 +505,6 @@ mod tests {
         assert_eq!(a.fallback, Some(FallbackKind::NoCandidateInBall));
         assert!(a.hops > r);
         assert!(net.placement().caches(a.server, file));
-
-        let mut strat =
-            ProximityChoice::two_choice(Some(r)).radius_fallback(RadiusFallback::ServeAtOrigin);
-        let b = strat.assign(&net, &loads, Request { origin, file }, &mut rng);
-        assert_eq!(b.server, origin);
-        assert_eq!(b.hops, 0);
-        assert_eq!(b.fallback, Some(FallbackKind::NoCandidateInBall));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! loads, not their live values. [`StaleLoad`] wraps any inner strategy
 //! and refreshes its load snapshot only every `period` requests,
 //! quantifying how much staleness the power of two choices tolerates (the
-//! `ablation_design` bench shows the degradation curve; the classic
+//! `ablation_design` figure shows the degradation curve; the classic
 //! "herd effect" appears when many requests act on one stale view).
+//! With `period = 1` it passes the live loads straight through, which is
+//! how [`crate::StrategySpec`] applies staleness to every strategy.
 
 use crate::network::CacheNetwork;
 use crate::request::Request;
@@ -59,6 +61,10 @@ impl<T: Topology, S: Strategy<T>> Strategy<T> for StaleLoad<S> {
         req: Request,
         rng: &mut R,
     ) -> Assignment {
+        if self.period == 1 {
+            // Fresh loads: no snapshot to keep.
+            return self.inner.assign(net, loads, req, rng);
+        }
         if self.seen.is_multiple_of(self.period) || self.snapshot.len() != loads.len() {
             self.snapshot.clear();
             self.snapshot.extend_from_slice(loads);

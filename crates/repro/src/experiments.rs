@@ -14,11 +14,11 @@
 use crate::artifact::{Gate, Metric};
 use crate::ReproConfig;
 use paba_core::{
-    simulate, CacheNetwork, GoodnessReport, LeastLoadedInBall, NearestReplica, ProximityChoice,
-    SimReport,
+    simulate, CacheNetwork, GoodnessReport, ProximityChoice, SimReport, StrategyRule, StrategySpec,
 };
 use paba_mcrunner::{run_parallel, summarize, sweep_summaries, PointSummary};
 use paba_popularity::Popularity;
+use paba_telemetry::NullRecorder;
 use paba_theory::{
     fit_vs_predictor_with_errors, fit_vs_two_choice_scale, mean_gap_z, one_choice_max_load,
     slope_gap_z, z_tail_bound,
@@ -93,28 +93,16 @@ impl Variant {
         }
     }
 
-    fn simulate(self, net: &CacheNetwork<Torus>, requests: u64, rng: &mut SmallRng) -> SimReport {
+    /// The strategy this variant runs on an `n`-node network.
+    fn strategy(self, n: u32) -> StrategySpec {
         match self {
-            Variant::Nearest => {
-                let mut s = NearestReplica::new();
-                simulate(net, &mut s, requests, rng)
-            }
-            Variant::TwoRLog => {
-                let mut s = ProximityChoice::two_choice(Some(r_log(net.n())));
-                simulate(net, &mut s, requests, rng)
-            }
-            Variant::TwoRConst => {
-                let mut s = ProximityChoice::two_choice(Some(3));
-                simulate(net, &mut s, requests, rng)
-            }
-            Variant::TwoRInf => {
-                let mut s = ProximityChoice::two_choice(None);
-                simulate(net, &mut s, requests, rng)
-            }
-            Variant::LeastRLog => {
-                let mut s = LeastLoadedInBall::new(Some(r_log(net.n())));
-                simulate(net, &mut s, requests, rng)
-            }
+            Variant::Nearest => StrategySpec::NEAREST,
+            Variant::TwoRLog => StrategySpec::two_choice(Some(r_log(n))),
+            Variant::TwoRConst => StrategySpec::two_choice(Some(3)),
+            Variant::TwoRInf => StrategySpec::two_choice(None),
+            Variant::LeastRLog => StrategySpec::fresh(StrategyRule::LeastLoaded {
+                radius: Some(r_log(n)),
+            }),
         }
     }
 }
@@ -183,7 +171,8 @@ pub fn growth(cfg: &ReproConfig, gates: &mut Vec<Gate>, metrics: &mut Vec<Metric
                 .library(n, Popularity::Uniform)
                 .cache_size(growth_m(n))
                 .build(rng);
-            let report = VARIANTS[vi].simulate(&net, n as u64, rng);
+            let mut s = VARIANTS[vi].strategy(n).build(NullRecorder);
+            let report = simulate(&net, &mut s, n as u64, rng);
             fill_metrics(&report, m);
         },
     );

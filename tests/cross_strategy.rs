@@ -2,6 +2,7 @@
 //! as executable assertions (averaged over enough seeds that a correct
 //! implementation fails with negligible probability).
 
+use paba::core::StrategySpec;
 use paba::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -11,50 +12,32 @@ struct Avg {
     cost: f64,
 }
 
-fn average<F: Fn(u64) -> (f64, f64)>(runs: u64, f: F) -> Avg {
+/// Mean max load and cost of `strategy` over `runs` fresh networks, seeded
+/// `seed0..seed0 + runs`.
+fn average(runs: u64, seed0: u64, side: u32, k: u32, m: u32, strategy: StrategySpec) -> Avg {
     let mut load = 0.0;
     let mut cost = 0.0;
-    for s in 0..runs {
-        let (l, c) = f(s);
-        load += l / runs as f64;
-        cost += c / runs as f64;
+    for s in seed0..seed0 + runs {
+        let mut rng = SmallRng::seed_from_u64(paba::util::mix_seed(s, side as u64));
+        let net = CacheNetwork::builder()
+            .torus_side(side)
+            .library(k, Popularity::Uniform)
+            .cache_size(m)
+            .build(&mut rng);
+        let mut strategy = strategy.build(paba::telemetry::NullRecorder);
+        let rep = simulate(&net, &mut strategy, net.n() as u64, &mut rng);
+        load += rep.max_load() as f64 / runs as f64;
+        cost += rep.comm_cost() / runs as f64;
     }
     Avg { load, cost }
-}
-
-fn run_strategy(
-    seed: u64,
-    side: u32,
-    k: u32,
-    m: u32,
-    kind: &str,
-    radius: Option<u32>,
-) -> (f64, f64) {
-    let mut rng = SmallRng::seed_from_u64(paba::util::mix_seed(seed, side as u64));
-    let net = CacheNetwork::builder()
-        .torus_side(side)
-        .library(k, Popularity::Uniform)
-        .cache_size(m)
-        .build(&mut rng);
-    let rep = match kind {
-        "nearest" => {
-            let mut s = NearestReplica::new();
-            simulate(&net, &mut s, net.n() as u64, &mut rng)
-        }
-        _ => {
-            let mut s = ProximityChoice::two_choice(radius);
-            simulate(&net, &mut s, net.n() as u64, &mut rng)
-        }
-    };
-    (rep.max_load() as f64, rep.comm_cost())
 }
 
 #[test]
 fn two_choice_balances_better_given_replication() {
     // Well-replicated regime (nM/K = 40): the paper's headline ordering.
     let runs = 24;
-    let near = average(runs, |s| run_strategy(s, 20, 50, 5, "nearest", None));
-    let two = average(runs, |s| run_strategy(1_000 + s, 20, 50, 5, "two", None));
+    let near = average(runs, 0, 20, 50, 5, StrategySpec::NEAREST);
+    let two = average(runs, 1_000, 20, 50, 5, StrategySpec::two_choice(None));
     assert!(
         two.load < near.load - 0.5,
         "two-choice {:.2} should beat nearest {:.2}",
@@ -67,9 +50,9 @@ fn two_choice_balances_better_given_replication() {
 fn nearest_has_minimal_cost() {
     // No strategy can undercut nearest-replica communication cost.
     let runs = 16;
-    let near = average(runs, |s| run_strategy(s, 20, 100, 4, "nearest", None));
-    let two_r = average(runs, |s| run_strategy(500 + s, 20, 100, 4, "two", Some(4)));
-    let two_inf = average(runs, |s| run_strategy(900 + s, 20, 100, 4, "two", None));
+    let near = average(runs, 0, 20, 100, 4, StrategySpec::NEAREST);
+    let two_r = average(runs, 500, 20, 100, 4, StrategySpec::two_choice(Some(4)));
+    let two_inf = average(runs, 900, 20, 100, 4, StrategySpec::two_choice(None));
     assert!(
         near.cost <= two_r.cost + 0.05,
         "{} vs {}",
@@ -89,9 +72,9 @@ fn radius_interpolates_cost_monotonically() {
     // Larger radius → more freedom → higher cost (statistically), while
     // max load weakly improves.
     let runs = 20;
-    let r2 = average(runs, |s| run_strategy(s, 18, 40, 8, "two", Some(2)));
-    let r5 = average(runs, |s| run_strategy(s, 18, 40, 8, "two", Some(5)));
-    let rinf = average(runs, |s| run_strategy(s, 18, 40, 8, "two", None));
+    let r2 = average(runs, 0, 18, 40, 8, StrategySpec::two_choice(Some(2)));
+    let r5 = average(runs, 0, 18, 40, 8, StrategySpec::two_choice(Some(5)));
+    let rinf = average(runs, 0, 18, 40, 8, StrategySpec::two_choice(None));
     assert!(r2.cost < r5.cost && r5.cost < rinf.cost);
     assert!(rinf.load <= r2.load + 0.3);
 }
@@ -103,8 +86,8 @@ fn memory_starved_regime_annihilates_two_choice_gain() {
     let side = 20u32;
     let n = side * side;
     let runs = 24;
-    let near = average(runs, |s| run_strategy(s, side, n, 1, "nearest", None));
-    let two = average(runs, |s| run_strategy(3_000 + s, side, n, 1, "two", None));
+    let near = average(runs, 0, side, n, 1, StrategySpec::NEAREST);
+    let two = average(runs, 3_000, side, n, 1, StrategySpec::two_choice(None));
     assert!(
         (two.load - near.load).abs() < 1.0,
         "memory-starved two-choice {:.2} should track nearest {:.2}",
@@ -119,8 +102,8 @@ fn strategy_ii_cost_tracks_radius() {
     // ball still has plenty of replicas.
     let side = 30u32;
     let runs = 16;
-    let r4 = average(runs, |s| run_strategy(s, side, 20, 10, "two", Some(4)));
-    let r8 = average(runs, |s| run_strategy(s, side, 20, 10, "two", Some(8)));
+    let r4 = average(runs, 0, side, 20, 10, StrategySpec::two_choice(Some(4)));
+    let r8 = average(runs, 0, side, 20, 10, StrategySpec::two_choice(Some(8)));
     let ratio = r8.cost / r4.cost;
     assert!(
         (1.5..=2.5).contains(&ratio),
@@ -132,8 +115,8 @@ fn strategy_ii_cost_tracks_radius() {
 fn full_replication_minimizes_load_among_cache_sizes() {
     // More memory (at fixed K) can only help Strategy II.
     let runs = 20;
-    let m1 = average(runs, |s| run_strategy(s, 16, 64, 1, "two", None));
-    let m16 = average(runs, |s| run_strategy(7_000 + s, 16, 64, 16, "two", None));
+    let m1 = average(runs, 0, 16, 64, 1, StrategySpec::two_choice(None));
+    let m16 = average(runs, 7_000, 16, 64, 16, StrategySpec::two_choice(None));
     assert!(
         m16.load <= m1.load,
         "M=16 load {:.2} should be ≤ M=1 load {:.2}",
