@@ -2,17 +2,27 @@
 //! pluggable replica repair.
 //!
 //! [`simulate_churn`] interleaves a [`ChurnSchedule`] with the standard
-//! sequential request loop. Membership changes flow through two
-//! structures kept in lockstep: an `alive` bitmap (who can serve right
-//! now) and a [`HashRing`] restricted to the live nodes (who *should*
-//! hold what — the minimal-disruption directory that drives graceful
-//! handoff and join-time refill). Placement mutations ride
-//! `CacheNetwork::mutate_placement`, so every strategy's sampler and the
-//! conditional cached-file sampler stay consistent mid-churn.
+//! sequential request loop. Membership is one `alive` mask (who can
+//! serve right now). The [`HashRing`] over every node is built once and
+//! read through that mask (who *should* hold what: the
+//! minimal-disruption directory that drives graceful handoff and
+//! join-time refill), so the ring agrees with `alive` by construction
+//! and a crash or leave does no ring work. A join looks up only the
+//! files keyed inside the arcs it takes over ([`HashRing::live_arcs`]),
+//! so an event's ring work is `O(V log n + M)`, not the `O(n·V + K)` of
+//! rebuilding the ring and scanning every file.
+//!
+//! Crash, leave and insert each write the placement in one
+//! `CacheNetwork::mutate_placement` batch; a join writes its ring refill
+//! in one batch and each top-up draw in its own (a draw reads the
+//! library, which a batch cannot reach). Every strategy's sampler and the
+//! conditional cached-file sampler are thus consistent before the next
+//! request, and the cached-file sampler is rebuilt only when the set of
+//! cached files changed.
 
 use crate::schedule::{ChurnEventKind, ChurnSchedule};
 use paba_core::source::RequestSource;
-use paba_core::{CacheNetwork, Request, SimReport, Strategy};
+use paba_core::{CacheNetwork, Placement, Request, SimReport, Strategy};
 use paba_dht::HashRing;
 use paba_popularity::FileId;
 use paba_telemetry::{Counter, Recorder};
@@ -136,7 +146,13 @@ const DRAW_ATTEMPTS: u32 = 48;
 pub struct ChurnEngine {
     alive: Vec<bool>,
     live: u32,
+    /// The membership ring over every node, masked by `alive`.
     ring: HashRing,
+    /// `(ring position, file)` for every file, sorted by position, so a
+    /// join reads only the files in the arcs it takes over.
+    keys: Vec<(u64, FileId)>,
+    /// Scratch replica set for ring lookups.
+    replicas: Vec<NodeId>,
     cfg: ChurnCfg,
     report: ChurnReport,
 }
@@ -153,10 +169,17 @@ impl ChurnEngine {
             "churn needs a materialized (non-full) placement"
         );
         let n = net.n();
+        let ring = HashRing::new(n, cfg.vnodes, cfg.salt);
+        let mut keys: Vec<(u64, FileId)> = (0..net.k())
+            .map(|f| (ring.key_position(f as u64), f))
+            .collect();
+        keys.sort_unstable();
         Self {
             alive: vec![true; n as usize],
             live: n,
-            ring: HashRing::new(n, cfg.vnodes, cfg.salt),
+            ring,
+            keys,
+            replicas: Vec::with_capacity(cfg.replication as usize),
             cfg,
             report: ChurnReport::default(),
         }
@@ -202,6 +225,34 @@ impl ChurnEngine {
         } else {
             self.report.events_skipped += 1;
         }
+        debug_assert_eq!(
+            self.live as usize,
+            self.alive.iter().filter(|&&a| a).count()
+        );
+        debug_assert_eq!(
+            net.cached_file_count(),
+            net.k() - net.placement().uncached_files()
+        );
+    }
+
+    /// Take `node` off the live set; `false` if it is already down or is
+    /// the last live node.
+    fn take_down(&mut self, node: NodeId) -> bool {
+        if !self.alive[node as usize] || self.live == 1 {
+            return false;
+        }
+        self.alive[node as usize] = false;
+        self.live -= 1;
+        true
+    }
+
+    /// Count `moved` migrations and `lost` dropped copies.
+    fn migrated<Rec: Recorder>(&mut self, moved: u64, lost: u64, rec: &Rec) {
+        self.report.migrations += moved;
+        self.report.lost += lost;
+        if moved > 0 {
+            rec.count(Counter::RepairMigration, moved);
+        }
     }
 
     fn crash<T, R, Rec>(
@@ -216,12 +267,9 @@ impl ChurnEngine {
         R: Rng + ?Sized,
         Rec: Recorder,
     {
-        if !self.alive[node as usize] || self.live == 1 {
+        if !self.take_down(node) {
             return false;
         }
-        self.alive[node as usize] = false;
-        self.live -= 1;
-        self.ring = self.ring.without_server(node);
         if matches!(self.cfg.repair, RepairPolicy::None) {
             // No repair protocol: the directory goes stale. Requests keep
             // choosing this node's entries and pay retries to discover
@@ -230,17 +278,20 @@ impl ChurnEngine {
         }
         // Active repair: drop the dead node's entries and re-home each
         // lost copy on a policy-chosen live node with spare capacity.
-        let lost = net.mutate_placement(|p| p.remove_node_entries(node));
-        for f in lost {
-            match self.pick_target(net, f, true, rng) {
-                Some(u) => {
-                    net.mutate_placement(|p| p.insert(u, f));
-                    self.report.migrations += 1;
-                    rec.count(Counter::RepairMigration, 1);
+        let (moved, lost) = net.mutate_placement(|p| {
+            let (mut moved, mut lost) = (0, 0);
+            for f in p.remove_node_entries(node) {
+                match self.pick_target(p, f, true, rng) {
+                    Some(u) => {
+                        p.insert(u, f);
+                        moved += 1;
+                    }
+                    None => lost += 1,
                 }
-                None => self.report.lost += 1,
             }
-        }
+            (moved, lost)
+        });
+        self.migrated(moved, lost, rec);
         true
     }
 
@@ -249,34 +300,34 @@ impl ChurnEngine {
         T: Topology,
         Rec: Recorder,
     {
-        if !self.alive[node as usize] || self.live == 1 {
+        if !self.take_down(node) {
             return false;
         }
-        self.alive[node as usize] = false;
-        self.live -= 1;
-        self.ring = self.ring.without_server(node);
         // Graceful departure: the leaver hands each cached file to its
         // first live ring successor with room (the minimal-disruption
         // move), regardless of the repair policy — departure is the
         // node's own protocol, not the network's.
-        let files = net.mutate_placement(|p| p.remove_node_entries(node));
-        for f in files {
-            let succs = self
-                .ring
-                .lookup_replicas(f as u64, self.cfg.replication as usize);
-            let p = net.placement();
-            match succs
-                .into_iter()
-                .find(|&u| !p.caches(u, f) && p.t_u(u) < p.m())
-            {
-                Some(u) => {
-                    net.mutate_placement(|p| p.insert(u, f));
-                    self.report.migrations += 1;
-                    rec.count(Counter::RepairMigration, 1);
+        let (ring, alive, succs) = (&self.ring, &self.alive, &mut self.replicas);
+        let replication = self.cfg.replication as usize;
+        let (moved, lost) = net.mutate_placement(|p| {
+            let (mut moved, mut lost) = (0, 0);
+            for f in p.remove_node_entries(node) {
+                ring.live_replicas(f as u64, replication, alive, succs);
+                match succs
+                    .iter()
+                    .copied()
+                    .find(|&u| !p.caches(u, f) && p.t_u(u) < p.m())
+                {
+                    Some(u) => {
+                        p.insert(u, f);
+                        moved += 1;
+                    }
+                    None => lost += 1,
                 }
-                None => self.report.lost += 1,
             }
-        }
+            (moved, lost)
+        });
+        self.migrated(moved, lost, rec);
         true
     }
 
@@ -297,7 +348,6 @@ impl ChurnEngine {
         }
         self.alive[node as usize] = true;
         self.live += 1;
-        self.ring = self.ring.with_server(node);
         if matches!(self.cfg.repair, RepairPolicy::None) {
             // The node resumes serving whatever the (stale) directory
             // still attributes to it — a crash/rejoin round-trips its
@@ -306,36 +356,15 @@ impl ChurnEngine {
         }
         // Ring-driven refill: adopt the cached files whose replica set
         // now includes the joiner, up to capacity.
-        let adopt: Vec<FileId> = {
-            let p = net.placement();
-            let mut room = (p.m() - p.t_u(node)) as usize;
-            let mut out = Vec::new();
-            for f in 0..net.k() {
-                if room == 0 {
-                    break;
-                }
-                if p.replica_count(f) == 0 || p.caches(node, f) {
-                    continue;
-                }
-                if self
-                    .ring
-                    .lookup_replicas(f as u64, self.cfg.replication as usize)
-                    .contains(&node)
-                {
-                    out.push(f);
-                    room -= 1;
-                }
-            }
-            out
-        };
+        let room = net.m() - net.placement().t_u(node);
+        let adopt = self.ring_adoptions(net.placement(), node, room as usize);
         if !adopt.is_empty() {
             net.mutate_placement(|p| {
                 for &f in &adopt {
                     p.insert(node, f);
                 }
             });
-            self.report.migrations += adopt.len() as u64;
-            rec.count(Counter::RepairMigration, adopt.len() as u64);
+            self.migrated(adopt.len() as u64, 0, rec);
         }
         // Top-up: the ring only hands the joiner the few files it is a
         // directory successor for (≈ K·R/n in expectation). A real cache
@@ -354,11 +383,44 @@ impl ChurnEngine {
                 drawn += 1;
             }
         }
-        if drawn > 0 {
-            self.report.migrations += drawn;
-            rec.count(Counter::RepairMigration, drawn);
-        }
+        self.migrated(drawn, 0, rec);
         true
+    }
+
+    /// The first `room` files, in file order, that are cached somewhere
+    /// but not at the live `node`, and whose live replica set includes
+    /// `node`. Only the files keyed inside `node`'s
+    /// [`HashRing::live_arcs`] can qualify, so only those are looked up.
+    fn ring_adoptions(&mut self, p: &Placement, node: NodeId, room: usize) -> Vec<FileId> {
+        let mut out = Vec::new();
+        if room == 0 {
+            return out;
+        }
+        let replication = self.cfg.replication as usize;
+        let keys = &self.keys;
+        for (from, to) in self.ring.live_arcs(node, replication, &self.alive) {
+            let lo = keys.partition_point(|&(pos, _)| pos <= from);
+            let hi = keys.partition_point(|&(pos, _)| pos <= to);
+            let (a, b) = if from < to {
+                (&keys[lo..hi], &keys[..0])
+            } else {
+                (&keys[lo..], &keys[..hi])
+            };
+            for &(_, f) in a.iter().chain(b) {
+                if p.replica_count(f) == 0 || p.caches(node, f) {
+                    continue;
+                }
+                self.ring
+                    .live_replicas(f as u64, replication, &self.alive, &mut self.replicas);
+                if self.replicas.contains(&node) {
+                    out.push(f);
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out.truncate(room);
+        out
     }
 
     fn insert_file<T, R>(&mut self, net: &mut CacheNetwork<T>, file: FileId, rng: &mut R) -> bool
@@ -367,43 +429,46 @@ impl ChurnEngine {
         R: Rng + ?Sized,
     {
         let copies = self.cfg.replication.min(self.live);
-        let mut placed = false;
-        for _ in 0..copies {
-            // Insert targets may be full — ingest is what creates
-            // capacity pressure — so eviction is allowed here (and only
-            // here; repair never destroys resident data).
-            let Some(u) = self.pick_target(net, file, false, rng) else {
-                self.report.lost += 1;
-                continue;
-            };
-            if net.placement().t_u(u) >= net.m() {
-                let resident = net.placement().node_files(u);
-                let victim = resident[rng.gen_range(0..resident.len())];
-                net.mutate_placement(|p| p.remove(u, victim));
-                self.report.evictions += 1;
+        let (inserted, evictions, lost) = net.mutate_placement(|p| {
+            let (mut inserted, mut evictions, mut lost) = (0, 0, 0);
+            for _ in 0..copies {
+                // Insert targets may be full — ingest is what creates
+                // capacity pressure — so eviction is allowed here (and
+                // only here; repair never destroys resident data).
+                let Some(u) = self.pick_target(p, file, false, rng) else {
+                    lost += 1;
+                    continue;
+                };
+                if p.t_u(u) >= p.m() {
+                    let resident = p.node_files(u);
+                    let victim = resident[rng.gen_range(0..resident.len())];
+                    p.remove(u, victim);
+                    evictions += 1;
+                }
+                p.insert(u, file);
+                inserted += 1;
             }
-            net.mutate_placement(|p| p.insert(u, file));
-            self.report.inserted += 1;
-            placed = true;
-        }
-        placed
+            (inserted, evictions, lost)
+        });
+        self.report.inserted += inserted;
+        self.report.evictions += evictions;
+        self.report.lost += lost;
+        inserted > 0
     }
 
     /// Uniform live node not yet caching `file`; with `need_room`, only
     /// one with spare capacity (repair must not evict, inserts may).
     /// `None` after [`DRAW_ATTEMPTS`] rejections.
-    fn draw_target<T, R>(
+    fn draw_target<R>(
         &self,
-        net: &CacheNetwork<T>,
+        p: &Placement,
         file: FileId,
         need_room: bool,
         rng: &mut R,
     ) -> Option<NodeId>
     where
-        T: Topology,
         R: Rng + ?Sized,
     {
-        let p = net.placement();
         for _ in 0..DRAW_ATTEMPTS {
             let u = rng.gen_range(0..p.n());
             if self.alive[u as usize] && !p.caches(u, file) && (!need_room || p.t_u(u) < p.m()) {
@@ -416,28 +481,24 @@ impl ChurnEngine {
     /// The policy's target for a new copy of `file`: the less loaded of
     /// two [`Self::draw_target`] draws under two-choices repair, else
     /// one draw.
-    fn pick_target<T, R>(
+    fn pick_target<R>(
         &self,
-        net: &CacheNetwork<T>,
+        p: &Placement,
         file: FileId,
         need_room: bool,
         rng: &mut R,
     ) -> Option<NodeId>
     where
-        T: Topology,
         R: Rng + ?Sized,
     {
         if !matches!(self.cfg.repair, RepairPolicy::TwoChoices) {
-            return self.draw_target(net, file, need_room, rng);
+            return self.draw_target(p, file, need_room, rng);
         }
         match (
-            self.draw_target(net, file, need_room, rng),
-            self.draw_target(net, file, need_room, rng),
+            self.draw_target(p, file, need_room, rng),
+            self.draw_target(p, file, need_room, rng),
         ) {
-            (Some(a), Some(b)) => {
-                let p = net.placement();
-                Some(if p.t_u(b) < p.t_u(a) { b } else { a })
-            }
+            (Some(a), Some(b)) => Some(if p.t_u(b) < p.t_u(a) { b } else { a }),
             (a, b) => a.or(b),
         }
     }
@@ -546,4 +607,100 @@ where
     }
     debug_assert!(report.check_conservation());
     (report, engine.into_report())
+}
+
+#[cfg(test)]
+impl ChurnEngine {
+    /// [`ChurnEngine::ring_adoptions`] as a scan over all `K` files, each
+    /// checked with a live ring lookup: the reference the arc-scoped
+    /// version must agree with.
+    fn ring_adoptions_full_scan(&self, p: &Placement, node: NodeId, room: usize) -> Vec<FileId> {
+        let mut room = room;
+        let mut out = Vec::new();
+        let mut replicas = Vec::new();
+        for f in 0..p.k() {
+            if room == 0 {
+                break;
+            }
+            if p.replica_count(f) == 0 || p.caches(node, f) {
+                continue;
+            }
+            let r = self.cfg.replication as usize;
+            self.ring
+                .live_replicas(f as u64, r, &self.alive, &mut replicas);
+            if replicas.contains(&node) {
+                out.push(f);
+                room -= 1;
+            }
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paba_popularity::Popularity;
+    use paba_telemetry::NullRecorder;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn arc_scoped_join_adopts_what_the_full_scan_adopts() {
+        // (torus side, K, M, vnodes, replication). The side-2 and side-3
+        // rings have 4–36 points, so arcs wrap past the top; R = 5 on
+        // n = 4 always has fewer live servers than R, and crashes can
+        // leave a single live server elsewhere.
+        let cases = [
+            (2, 12, 3, 1, 2),
+            (2, 30, 4, 2, 5),
+            (3, 40, 3, 1, 3),
+            (3, 60, 5, 4, 4),
+            (6, 200, 5, 16, 3),
+            (10, 500, 8, 64, 3),
+        ];
+        for (case, &(side, k, m, vnodes, replication)) in cases.iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64(case as u64);
+            let mut net = CacheNetwork::builder()
+                .torus_side(side)
+                .library(k, Popularity::zipf(0.8))
+                .cache_size(m)
+                .build(&mut rng);
+            let cfg = ChurnCfg {
+                replication,
+                vnodes,
+                salt: case as u64,
+                ..ChurnCfg::default()
+            };
+            let mut engine = ChurnEngine::new(&net, cfg);
+            let n = net.n();
+            let mut adopted = 0usize;
+            for step in 0..80 {
+                let node = rng.gen_range(0..n);
+                let kind = match rng.gen_range(0..3) {
+                    0 => ChurnEventKind::Crash { node },
+                    1 => ChurnEventKind::Leave { node },
+                    _ => ChurnEventKind::Join { node },
+                };
+                engine.apply(&mut net, kind, &mut rng, &NullRecorder);
+                // A rotating twelfth of the live nodes (all of them on the
+                // small rings) as if each had just joined, uncapped and
+                // under its real and a tight capacity cap.
+                let stride = (n / 12).max(1);
+                let live: Vec<NodeId> = (0..n)
+                    .filter(|&u| engine.is_alive(u) && (u + step) % stride == 0)
+                    .collect();
+                for u in live {
+                    let room = (m - net.placement().t_u(u)) as usize;
+                    for room in [usize::MAX, room, 1] {
+                        let fast = engine.ring_adoptions(net.placement(), u, room);
+                        let slow = engine.ring_adoptions_full_scan(net.placement(), u, room);
+                        assert_eq!(fast, slow, "case {case} step {step} node {u} room {room}");
+                        adopted += fast.len();
+                    }
+                }
+            }
+            assert!(adopted > 0, "case {case}: no adoption was compared");
+        }
+    }
 }

@@ -13,7 +13,9 @@
 //!   (sorted replica lists, CSR node lists, and the dense bitmaps all
 //!   stay consistent; see `Placement::insert`/`remove`), with
 //!   `paba-dht`'s [`HashRing`](paba_dht::HashRing) as the
-//!   minimal-disruption directory for leave handoff and join refill;
+//!   minimal-disruption directory for leave handoff and join refill: the
+//!   ring is built once and masked by the live set, so membership events
+//!   do no ring work and a join reads only the arcs it takes over;
 //! * **graceful degradation** — requests hitting a dead replica probe
 //!   the next-nearest live replicas under a bounded retry budget, then
 //!   serve degraded at the origin ([`ChurnEngine::failover`]);

@@ -58,9 +58,12 @@ impl<T: Topology> CacheNetwork<T> {
     }
 
     /// Mutate the placement through `f` (a batch of
-    /// [`Placement::insert`]/[`Placement::remove`] calls), then rebuild the
-    /// derived conditional cached-file sampler once. All derived state is
-    /// re-synchronized when this returns, so
+    /// [`Placement::insert`]/[`Placement::remove`] calls), then re-sync
+    /// the derived conditional cached-file sampler. The sampler is a pure
+    /// function of the set of cached files, so it is rebuilt only when
+    /// some file's replica count crossed 0 inside `f`; a batch that only
+    /// moves or adds copies of cached files costs no rebuild. All derived
+    /// state is consistent when this returns, so
     /// [`CacheNetwork::sample_cached_file`] and every strategy keep
     /// working mid-churn; the placement's own indices stay consistent
     /// incrementally.
@@ -68,10 +71,13 @@ impl<T: Topology> CacheNetwork<T> {
     where
         F: FnOnce(&mut Placement) -> O,
     {
+        let before = self.placement.cached_set_changes();
         let out = f(&mut self.placement);
-        let (count, sampler) = build_cached_sampler(&self.library, &self.placement);
-        self.cached_file_count = count;
-        self.cached_sampler = sampler;
+        if self.placement.cached_set_changes() != before {
+            let (count, sampler) = build_cached_sampler(&self.library, &self.placement);
+            self.cached_file_count = count;
+            self.cached_sampler = sampler;
+        }
         out
     }
 
@@ -401,6 +407,75 @@ mod tests {
             let f = net.sample_cached_file(&mut rng);
             assert_ne!(f, singleton, "evicted file drawn from cached sampler");
             assert!(net.placement().replica_count(f) > 0);
+        }
+    }
+
+    #[test]
+    fn skipped_rebuilds_match_a_from_scratch_sampler() {
+        // Random batches of inserts and removes, one batch per
+        // `mutate_placement` call. Every third batch also removes a
+        // file's last copy and puts it back within the same call. After
+        // each batch, whether or not it rebuilt, the cached sampler must
+        // draw exactly what a from-scratch sampler draws.
+        for popularity in [Popularity::Uniform, Popularity::zipf(0.8)] {
+            let mut rng = SmallRng::seed_from_u64(33);
+            let mut net = CacheNetwork::builder()
+                .torus_side(4)
+                .library(60, popularity)
+                .cache_size(3)
+                .build(&mut rng);
+            let (mut skipped, mut rebuilt) = (0, 0);
+            for batch in 0..300u64 {
+                let changes = net.placement().cached_set_changes();
+                let ops: Vec<(u32, u32, bool)> = (0..rng.gen_range(1..=4))
+                    .map(|_| (rng.gen_range(0..net.n()), rng.gen(), rng.gen_bool(0.5)))
+                    .collect();
+                let single = (0..net.k()).find(|&f| net.placement().replica_count(f) == 1);
+                net.mutate_placement(|p| {
+                    for (u, pick, insert) in ops {
+                        let files = p.node_files(u);
+                        if insert && p.t_u(u) < p.m() {
+                            p.insert(u, pick % p.k());
+                        } else if !insert && !files.is_empty() {
+                            let f = files[pick as usize % files.len()];
+                            assert!(p.remove(u, f));
+                        }
+                    }
+                    if let Some(f) = single.filter(|_| batch % 3 == 0) {
+                        if p.replica_count(f) == 1 {
+                            let holder = p.replica_at(f, 0);
+                            assert!(p.remove(holder, f));
+                            assert!(p.insert(holder, f));
+                        }
+                    }
+                });
+                if net.placement().cached_set_changes() == changes {
+                    skipped += 1;
+                } else {
+                    rebuilt += 1;
+                }
+                let fresh = CacheNetwork::from_parts(
+                    *net.topo(),
+                    net.library().clone(),
+                    net.placement().clone(),
+                );
+                assert_eq!(net.cached_file_count(), fresh.cached_file_count());
+                let (mut a, mut b) = (
+                    SmallRng::seed_from_u64(batch),
+                    SmallRng::seed_from_u64(batch),
+                );
+                for _ in 0..64 {
+                    assert_eq!(
+                        net.sample_cached_file(&mut a),
+                        fresh.sample_cached_file(&mut b),
+                        "batch {batch}"
+                    );
+                }
+            }
+            assert!(
+                skipped > 20 && rebuilt > 20,
+                "{skipped} skipped, {rebuilt} rebuilt"
+            );
         }
     }
 

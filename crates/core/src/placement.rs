@@ -49,6 +49,9 @@ enum Kind {
         replicas: Vec<Vec<NodeId>>,
         /// Direct-indexed membership bitmaps for dense files.
         dense: DenseIndex,
+        /// Times a file's replica count moved between 0 and 1, i.e. the
+        /// set of cached files changed (see [`Placement::cached_set_changes`]).
+        cached_set_changes: u64,
     },
     /// Every node caches every file; nothing is materialized.
     Full,
@@ -260,6 +263,7 @@ impl Placement {
                 node_files,
                 replicas,
                 dense,
+                cached_set_changes: 0,
             },
         }
     }
@@ -306,6 +310,7 @@ impl Placement {
                 node_files,
                 replicas,
                 dense,
+                cached_set_changes: 0,
             },
         }
     }
@@ -420,6 +425,7 @@ impl Placement {
                 node_offsets,
                 node_files,
                 dense,
+                ..
             } => {
                 if let Some(hit) = dense.contains(f, u) {
                     return hit;
@@ -564,6 +570,7 @@ impl Placement {
                 node_files,
                 replicas,
                 dense,
+                cached_set_changes,
             } => {
                 let reps = &mut replicas[f as usize];
                 let Err(pos) = reps.binary_search(&u) else {
@@ -573,6 +580,9 @@ impl Placement {
                 let hi = node_offsets[u as usize + 1] as usize;
                 assert!(hi - lo < m as usize, "node {u} is full (M={m})");
                 reps.insert(pos, u);
+                if reps.len() == 1 {
+                    *cached_set_changes += 1;
+                }
                 let fpos = node_files[lo..hi]
                     .binary_search(&f)
                     .expect_err("replica list said f was absent");
@@ -607,12 +617,16 @@ impl Placement {
                 node_files,
                 replicas,
                 dense,
+                cached_set_changes,
             } => {
                 let reps = &mut replicas[f as usize];
                 let Ok(pos) = reps.binary_search(&u) else {
                     return false;
                 };
                 reps.remove(pos);
+                if reps.is_empty() {
+                    *cached_set_changes += 1;
+                }
                 let lo = node_offsets[u as usize] as usize;
                 let hi = node_offsets[u as usize + 1] as usize;
                 let fpos = node_files[lo..hi]
@@ -651,6 +665,19 @@ impl Placement {
             debug_assert!(removed);
         }
         files
+    }
+
+    /// How many times a file's replica count has crossed between 0 and 1
+    /// through [`Placement::insert`]/[`Placement::remove`]. Unchanged
+    /// across a batch of mutations means the set of cached files is
+    /// unchanged; always 0 on the full placement.
+    pub(crate) fn cached_set_changes(&self) -> u64 {
+        match &self.kind {
+            Kind::Full => 0,
+            Kind::Sparse {
+                cached_set_changes, ..
+            } => *cached_set_changes,
+        }
     }
 
     /// Number of files with no replica anywhere (possible under the

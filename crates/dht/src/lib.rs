@@ -6,9 +6,11 @@
 //! replica placement over it. This crate provides that substrate:
 //!
 //! * [`HashRing`] — a classic consistent-hash ring over the `u64` key
-//!   space with virtual nodes, O(log V) successor lookup, k-distinct-
-//!   successor replication, and the minimal-disruption property on
-//!   membership change (tested, not just asserted);
+//!   space with virtual nodes, O(1) expected successor lookup (a bucket
+//!   index over the sorted points), k-distinct-successor replication,
+//!   membership as a live mask over a ring built once, and the
+//!   minimal-disruption property on membership change (tested, not just
+//!   asserted);
 //! * [`dht_placement`] — deterministic cache placement for a
 //!   [`paba_core::CacheNetwork`]: each file lands on the `R_j` distinct
 //!   successors of its key, with per-file replication either fixed or

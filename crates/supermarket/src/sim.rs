@@ -121,9 +121,10 @@ impl WindowAccumulator {
         }
     }
 
-    /// Credit `[max(last, warmup), t)` with the current state, then move
-    /// the cursor to `t`.
-    fn advance(&mut self, t: f64, counts: &[u32], lens: &[u32]) {
+    /// Credit `[max(last, warmup), t)` with the current state (`counts`
+    /// and the total queue length `Σ_i len_i`), then move the cursor to
+    /// `t`.
+    fn advance(&mut self, t: f64, counts: &[u32], total_len: u64) {
         if t >= self.warmup {
             let from = self.last.max(self.warmup);
             let dt = t - from;
@@ -131,7 +132,6 @@ impl WindowAccumulator {
                 for (acc, &c) in self.integral.iter_mut().zip(counts.iter()) {
                     *acc += c as f64 * dt;
                 }
-                let total_len: u64 = lens.iter().map(|&l| l as u64).sum();
                 self.queue_area += total_len as f64 * dt;
             }
             self.last = t;
@@ -202,6 +202,8 @@ where
     // to the dispatch strategy.
     let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n as usize];
     let mut lens: Vec<u32> = vec![0; n as usize];
+    // Σ lens, kept exactly: +1 per arrival, −1 per departure.
+    let mut total_len = 0u64;
     let mut departures: BinaryHeap<Reverse<Departure>> = BinaryHeap::new();
 
     // Per-threshold occupancy: counts[k] = #servers with len ≥ k.
@@ -239,10 +241,10 @@ where
             max_queue = lens.iter().copied().max().unwrap_or(0);
         }
         if t >= cfg.horizon {
-            acc.advance(cfg.horizon, &counts, &lens);
+            acc.advance(cfg.horizon, &counts, total_len);
             break;
         }
-        acc.advance(t, &counts, &lens);
+        acc.advance(t, &counts, total_len);
         clock = t;
 
         if is_arrival {
@@ -252,6 +254,7 @@ where
             let s = a.server as usize;
             queues[s].push_back(clock);
             lens[s] += 1;
+            total_len += 1;
             let new_len = lens[s];
             if (new_len as usize) <= cap {
                 counts[new_len as usize] += 1;
@@ -280,6 +283,7 @@ where
                 counts[old_len as usize] -= 1;
             }
             lens[s] -= 1;
+            total_len -= 1;
             // Count a completion only for jobs that *arrived* in the
             // window: `arrived >= warmup` implies `clock >= warmup`, and
             // keeps `completed ⊆ dispatched` so conservation and
@@ -298,12 +302,14 @@ where
             }
         }
     }
-    // Conservation: the lengths handed to the strategy mirror the FIFOs,
-    // and exactly the busy servers have one pending departure each.
+    // Conservation: the lengths handed to the strategy mirror the FIFOs
+    // and sum to the running total, and exactly the busy servers have
+    // one pending departure each.
     debug_assert!(queues
         .iter()
         .zip(&lens)
         .all(|(q, &l)| q.len() == l as usize));
+    debug_assert_eq!(total_len, lens.iter().map(|&l| l as u64).sum::<u64>());
     debug_assert!(departures.len() == lens.iter().filter(|&&l| l > 0).count());
 
     let window = cfg.horizon - cfg.warmup;
@@ -425,19 +431,19 @@ mod tests {
         // event landing exactly on the warmup instant must open the
         // window so both sides agree on `[warmup, horizon)`.
         let mut acc = WindowAccumulator::new(10.0, 2);
-        acc.advance(10.0, &[1, 1, 0], &[1]);
+        acc.advance(10.0, &[1, 1, 0], 1);
         assert_eq!(
             acc.last_advance(),
             10.0,
             "an event at t == warmup must open the measurement window"
         );
         // The stretch from the boundary onward is credited in full.
-        acc.advance(12.5, &[1, 1, 0], &[1]);
+        acc.advance(12.5, &[1, 1, 0], 1);
         assert!((acc.queue_area - 2.5).abs() < 1e-12);
         assert!((acc.integral[1] - 2.5).abs() < 1e-12);
         // Pre-warmup stretches stay excluded.
         let mut before = WindowAccumulator::new(10.0, 2);
-        before.advance(4.0, &[1, 1, 0], &[1]);
+        before.advance(4.0, &[1, 1, 0], 1);
         assert_eq!(before.last_advance(), 0.0);
         assert_eq!(before.queue_area, 0.0);
     }
